@@ -20,7 +20,6 @@ signing/caching path and answer byte-identically for the same
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import List, Optional
 
 from ..asn1.errors import ASN1Error
@@ -41,11 +40,6 @@ from ..simnet.http import HTTPRequest, HTTPResponse
 from ..x509 import Certificate
 from .authority import CertificateAuthority
 from .profiles import ResponderProfile
-
-_RESPOND_DEPRECATION = (
-    "OCSPResponder.respond(HTTPRequest, now) is deprecated; call "
-    "handle(request_der, now) for the transport-neutral core, or bind "
-    "repro.simnet.ocsp_service(responder) for HTTP traffic")
 
 _JAVASCRIPT_BODY = (
     b"<html><head><script>window.location='https://example.test/';"
@@ -87,9 +81,6 @@ class OCSPResponder:
 
     # -- the transport-neutral core --------------------------------------------
 
-    #: Process-wide "respond() shim already warned" latch.
-    _respond_warned = False
-
     def handle(self, request_der: Optional[bytes], now: int) -> ResponseArtifact:
         """Answer one OCSP request given as DER bytes at simulated *now*.
 
@@ -113,8 +104,7 @@ class OCSPResponder:
             raise TypeError(
                 "OCSPResponder.handle(request_der, now) takes DER request "
                 "bytes; wrap HTTP traffic with "
-                "repro.simnet.ocsp_service(responder) or the deprecated "
-                "respond() shim")
+                "repro.simnet.ocsp_service(responder)")
         try:
             ocsp_request = OCSPRequest.from_der(bytes(request_der))
         except (ASN1Error, ValueError):
@@ -124,19 +114,6 @@ class OCSPResponder:
             return self._error_artifact(ResponseStatus.TRY_LATER)
 
         return self._build_response(ocsp_request, now)
-
-    def respond(self, request: HTTPRequest, now: int) -> HTTPResponse:
-        """Deprecated HTTP-shaped entrypoint (pre-PR7 ``handle``).
-
-        Warns once per process, then delegates to the shared HTTP
-        adapter so old callers still exercise the one true path.
-        """
-        if not OCSPResponder._respond_warned:
-            OCSPResponder._respond_warned = True
-            warnings.warn(_RESPOND_DEPRECATION, DeprecationWarning,
-                          stacklevel=2)
-        from ..simnet.http import ocsp_http_exchange
-        return ocsp_http_exchange(self, request, now)
 
     @staticmethod
     def _error_artifact(status: ResponseStatus) -> ResponseArtifact:

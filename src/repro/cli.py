@@ -23,13 +23,14 @@ Commands:
 
 Experiment-running commands share the runtime flags ``--workers``,
 ``--cache-dir``, ``--no-cache``, and ``--seed``; everything funnels
-through :func:`repro.runtime.run_experiment`.  ``run`` additionally
-takes ``--supervise`` (plus ``--allow-partial``, ``--shard-timeout``,
-``--retries``) for the crash-tolerant executor, ``--transport
-jobqueue --queue-dir DIR`` to dispatch shards through a filesystem
-job queue that independent ``repro worker`` processes drain, and
-``--transport socket [--listen HOST:PORT]`` to coordinate a fleet
-over TCP with no shared filesystem at all.
+through :func:`repro.runtime.run_experiment`, whose supervised
+executor makes every run crash-tolerant and resumable.  ``run``
+additionally takes ``--allow-partial``, ``--shard-timeout`` and
+``--retries`` (supervision policy), ``--transport jobqueue --queue-dir
+DIR`` to dispatch shards through a filesystem job queue that
+independent ``repro worker`` processes drain, and ``--transport socket
+[--listen HOST:PORT]`` to coordinate a fleet over TCP with no shared
+filesystem at all.
 """
 
 from __future__ import annotations
@@ -279,10 +280,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scale = FigureScale.full() if args.scale == "full" else FigureScale.small()
     scale.seed = _seed(args)
     kwargs = _runtime_kwargs(args)
-    if args.supervise or args.transport in ("jobqueue", "socket"):
-        kwargs.update(supervise=True, allow_partial=args.allow_partial,
-                      shard_timeout=args.shard_timeout,
-                      max_retries=args.retries)
+    kwargs.update(allow_partial=args.allow_partial,
+                  shard_timeout=args.shard_timeout,
+                  max_retries=args.retries)
     if args.transport == "jobqueue":
         from .runtime import QueueTuning
         if not args.queue_dir:
@@ -313,9 +313,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 3
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        if result.manifest is not None and not result.manifest.complete:
-            return 3
-        return 0
+        return 0 if result.manifest.complete else 3
     provenance = result.provenance
     print(f"experiment: {result.experiment_id}")
     print(f"config: {provenance.config_digest} "
@@ -331,15 +329,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"(shard compute {result.timings['shard_ms_total']:.0f}ms)")
     print(f"cache: {result.cache_status}")
     manifest = result.manifest
-    if manifest is not None:
-        print(f"manifest: {manifest.cached} cached, "
-              f"{manifest.computed} computed, {manifest.retried} retried, "
-              f"{len(manifest.quarantined())} quarantined")
-        for state in manifest.quarantined():
-            print(f"  quarantined {state.label or state.index}: "
-                  f"{state.quarantine_reason}")
-        return 0 if manifest.complete else 3
-    return 0
+    print(f"manifest: {manifest.cached} cached, "
+          f"{manifest.computed} computed, {manifest.retried} retried, "
+          f"{len(manifest.quarantined())} quarantined")
+    for state in manifest.quarantined():
+        print(f"  quarantined {state.label or state.index}: "
+              f"{state.quarantine_reason}")
+    return 0 if manifest.complete else 3
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -881,30 +877,27 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", choices=["small", "full"], default="small")
     run.add_argument("--json", action="store_true",
                      help="print the full result document as JSON")
-    run.add_argument("--supervise", action="store_true",
-                     help="crash-tolerant executor: per-shard cache "
-                          "persistence, worker restarts, retries, and a "
-                          "run manifest (resumable after interruption)")
     run.add_argument("--allow-partial", action="store_true",
-                     help="with --supervise: finish in degraded mode when "
-                          "shards are quarantined (exit code 3)")
+                     help="finish in degraded mode when shards are "
+                          "quarantined (exit code 3)")
     run.add_argument("--shard-timeout", type=float, default=None,
                      metavar="SECONDS",
-                     help="with --supervise: kill and retry shards that "
-                          "run longer than this")
+                     help="kill and retry shards that run longer than "
+                          "this (runs them in worker processes even "
+                          "at --workers 1)")
     run.add_argument("--retries", type=int, default=2,
-                     help="with --supervise: extra attempts per shard "
-                          "beyond the first (default 2)")
+                     help="extra attempts per shard beyond the first "
+                          "(default 2)")
     run.add_argument("--transport", choices=["pipe", "jobqueue",
                                              "socket"],
                      default="pipe",
-                     help="shard transport: pipe (in-process worker "
-                          "pool, default), jobqueue (filesystem job "
+                     help="shard transport: pipe (this host: "
+                          "in-process at --workers 1, else a worker "
+                          "pool; default), jobqueue (filesystem job "
                           "queue drained by 'repro worker' processes), "
                           "or socket (TCP coordinator that 'repro "
                           "worker --connect' workers dial; no shared "
-                          "filesystem needed); jobqueue/socket imply "
-                          "--supervise")
+                          "filesystem needed)")
     run.add_argument("--queue-dir", default=None, metavar="DIR",
                      help="with --transport jobqueue: the shared queue "
                           "directory")

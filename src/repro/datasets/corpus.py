@@ -237,10 +237,6 @@ class CertificateCorpus:
     def records(self, value: List[CertificateRecord]) -> None:
         self._records = value
 
-    def _generate(self) -> None:
-        # Legacy one-shot shim: regenerate eagerly in place.
-        self._records = generate_records(self.config)
-
     # -- selections ---------------------------------------------------------------
 
     def __len__(self) -> int:

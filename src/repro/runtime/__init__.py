@@ -2,19 +2,20 @@
 
 The runtime turns every paper artefact into the same three-stage
 pipeline: **plan** (split the experiment into content-addressed
-shards), **execute** (serially or in a process pool, cache-first), and
-**merge** (deterministically, so parallel output is byte-identical to
-serial).  :func:`run_experiment` is the single public entrypoint; the
-CLI, the benchmarks, and :mod:`repro.core.figures` all sit on it.
+shards), **execute** (cache-first, over any transport), and **merge**
+(deterministically, so parallel output is byte-identical to serial).
+:func:`run_experiment` is the single public entrypoint; the CLI, the
+benchmarks, and :mod:`repro.core.figures` all sit on it.
 
-For long campaigns, ``run_experiment(..., supervise=True)`` swaps the
-plain pool for :class:`SupervisedExecutor`: results stream into the
-artifact cache the moment each shard completes, crashed or hung
-workers are restarted, transient failures retry with capped backoff,
-unrecoverable shards are quarantined, and the result carries a
-:class:`RunManifest` recording every attempt.  :mod:`~repro.runtime.
-chaos` provides the self-chaos workers that prove this machinery in
-tests and CI.
+Every run goes through :class:`SupervisedExecutor`: results stream
+into the artifact cache the moment each shard completes, crashed or
+hung workers are restarted, transient failures retry with capped
+backoff, unrecoverable shards are quarantined, and the result carries
+a :class:`RunManifest` recording every attempt.  Every transport
+computes a shard through one execute step
+(:func:`~repro.runtime.executor.execute_job`).
+:mod:`~repro.runtime.chaos` provides the self-chaos workers that prove
+this machinery in tests and CI.
 """
 
 from .api import RunContext, run_experiment
@@ -54,7 +55,7 @@ from .dist import (
     spawn_local_workers,
     stop_workers,
 )
-from .executor import ShardExecutor, ShardSpec, resolve_worker
+from .executor import ShardSpec, resolve_worker
 from .sock import (
     FrameBuffer,
     SocketTransport,
@@ -103,7 +104,6 @@ __all__ = [
     "ScanCampaignConfig",
     "SeedConfig",
     "ShardAttempt",
-    "ShardExecutor",
     "ShardQuarantinedError",
     "ShardRecord",
     "ShardSpec",

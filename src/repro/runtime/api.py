@@ -6,9 +6,11 @@ Every paper artefact runs through the same call::
 
 which resolves the experiment's runner from the registry, builds its
 default config (or takes an explicit one), plans shards, executes them
-serially or in a process pool against the content-addressed artifact
-cache, and returns an :class:`~repro.runtime.result.ExperimentResult`
-carrying rows, series, summary scalars, provenance, and timings.
+under :class:`~repro.runtime.supervisor.SupervisedExecutor` over the
+named transport against the content-addressed artifact cache, and
+returns an :class:`~repro.runtime.result.ExperimentResult` carrying
+rows, series, summary scalars, provenance, the run manifest, and
+timings.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from .cache import CODE_VERSION, ArtifactCache
 from .configs import QueueTuning, default_config
-from .executor import ShardExecutor, ShardSpec
+from .executor import ShardSpec
 from .result import ExperimentResult, Provenance, RunManifest, ShardRecord
 from .supervisor import SupervisedExecutor
-from .transport import ShardTransport
+from .transport import ShardTransport, local_transport
 
 
 class RunContext:
@@ -32,7 +34,8 @@ class RunContext:
     every shard so the final provenance covers all work performed.
     """
 
-    def __init__(self, experiment_id: str, executor: ShardExecutor) -> None:
+    def __init__(self, experiment_id: str,
+                 executor: SupervisedExecutor) -> None:
         self.experiment_id = experiment_id
         self.executor = executor
         self.shard_records: List[ShardRecord] = []
@@ -48,13 +51,57 @@ class RunContext:
         return outputs
 
 
+def _pipe(workers: int, shard_timeout: Optional[float], **_: Any
+          ) -> ShardTransport:
+    return local_transport(workers, shard_timeout)
+
+
+def _jobqueue(workers: int, shard_timeout: Optional[float],
+              tuning: QueueTuning, cache: ArtifactCache, spawn: bool,
+              queue_dir: Optional[str] = None, **_: Any) -> ShardTransport:
+    from .dist import JobQueueTransport, spawn_local_workers
+    if queue_dir is None:
+        raise ValueError("transport='jobqueue' needs a queue_dir")
+    return JobQueueTransport(
+        queue_dir, lease_s=tuning.lease_s, shard_timeout=shard_timeout,
+        poll_s=tuning.poll_s, reclaim_grace_s=tuning.reclaim_grace_s,
+        fleet=(lambda transport: spawn_local_workers(
+            queue_dir, workers, cache_dir=cache.root,
+            cache_enabled=cache.enabled, poll_s=tuning.poll_s))
+        if spawn else None)
+
+
+def _socket(workers: int, shard_timeout: Optional[float],
+            tuning: QueueTuning, cache: ArtifactCache, spawn: bool,
+            listen: Optional[str] = None, **_: Any) -> ShardTransport:
+    from .sock import SocketTransport, parse_address, spawn_socket_workers
+    host, port = parse_address(listen or "127.0.0.1:0")
+    return SocketTransport(
+        host=host, port=port, lease_s=tuning.lease_s,
+        shard_timeout=shard_timeout, poll_s=tuning.poll_s,
+        reclaim_grace_s=tuning.reclaim_grace_s,
+        fleet=(lambda transport: spawn_socket_workers(
+            transport.host, transport.port, workers,
+            cache_dir=cache.root, cache_enabled=cache.enabled))
+        if spawn else None)
+
+
+#: Transport name -> factory.  The jobqueue and socket transports own
+#: the local fleet they spawn (started on first dispatch, stopped and
+#: joined on close).
+TRANSPORTS: Dict[str, Callable[..., ShardTransport]] = {
+    "pipe": _pipe,
+    "jobqueue": _jobqueue,
+    "socket": _socket,
+}
+
+
 def run_experiment(experiment_id: str,
                    config: Optional[Any] = None,
                    workers: int = 1,
                    cache: bool = True,
                    cache_dir: Optional[str] = None,
                    scale: Optional[Any] = None,
-                   supervise: bool = False,
                    allow_partial: bool = False,
                    shard_timeout: Optional[float] = None,
                    max_retries: int = 2,
@@ -85,31 +132,25 @@ def run_experiment(experiment_id: str,
     scale:
         Optional :class:`repro.core.figures.FigureScale` used when
         *config* is omitted.
-    supervise:
-        Run shards under :class:`~repro.runtime.supervisor.
-        SupervisedExecutor`: each completed shard persists to the
-        cache immediately (so interrupted runs resume for free),
-        crashed/hung workers restart, transient failures retry, and
-        the result carries a :class:`~repro.runtime.result.
-        RunManifest` recording every attempt.
     allow_partial:
-        With *supervise*: finish in degraded mode when shards are
-        quarantined instead of raising
-        :class:`~repro.runtime.supervisor.ShardQuarantinedError`;
+        Finish in degraded mode when shards are quarantined instead of
+        raising :class:`~repro.runtime.supervisor.ShardQuarantinedError`;
         the manifest says exactly what is missing and why.
     shard_timeout:
-        With *supervise*: per-shard wall-clock seconds before a
-        worker is declared hung, killed, and the shard retried.
+        Per-shard wall-clock seconds before a worker is declared hung,
+        killed (or its lease reclaimed), and the shard retried.
     max_retries:
-        With *supervise*: extra attempts per shard beyond the first.
+        Extra attempts per shard beyond the first.
     transport:
-        How supervised shard attempts reach compute.  ``None``/
-        ``"pipe"`` is the per-host pipe pool; ``"jobqueue"`` publishes
-        the plan into *queue_dir* as claimable job files for
-        independent ``repro worker`` processes (implies *supervise*);
-        ``"socket"`` listens on *listen* for ``repro worker
+        How shard attempts reach compute, by name in :data:`TRANSPORTS`
+        or as an instance.  ``None``/``"pipe"`` runs on this host —
+        in-process for one worker without a shard timeout, otherwise
+        a pipe pool; ``"jobqueue"`` publishes the plan into
+        *queue_dir* as claimable job files for independent ``repro
+        worker`` processes (``None`` with a *queue_dir* means this
+        too); ``"socket"`` listens on *listen* for ``repro worker
         --connect`` workers dialing in over TCP — no shared
-        filesystem needed (implies *supervise*); a
+        filesystem needed; a
         :class:`~repro.runtime.transport.ShardTransport` instance is
         used as-is (caller owns and closes it).  Every transport
         yields byte-identical merges — topology changes scheduling,
@@ -126,9 +167,10 @@ def run_experiment(experiment_id: str,
         deliberately NOT cache-key material).
     spawn_workers:
         With ``transport="jobqueue"``/``"socket"``: start *workers*
-        local ``repro worker`` subprocesses for the duration of the
-        run (default True).  Pass False when an external fleet drains
-        the queue or dials the coordinator.
+        local ``repro worker`` subprocesses on the first dispatch and
+        stop them when the run ends (default True; a run served
+        entirely from cache starts none).  Pass False when an external
+        fleet drains the queue or dials the coordinator.
     lifecycle:
         Optional telemetry callback ``(state, info)`` — wired to the
         monitor's ``worker`` event kind by the CLI.
@@ -140,74 +182,29 @@ def run_experiment(experiment_id: str,
         config = default_config(experiment_id, scale=scale)
 
     artifact_cache = ArtifactCache(root=cache_dir, enabled=cache)
-    tuning = queue_tuning or QueueTuning()
-    transport_obj: Optional[ShardTransport] = None
-    owns_transport = False
-    worker_procs: List[Any] = []
-    if transport == "jobqueue" or (transport is None
-                                   and queue_dir is not None):
-        from .dist import JobQueueTransport, spawn_local_workers
-        if queue_dir is None:
-            raise ValueError("transport='jobqueue' needs a queue_dir")
-        supervise = True
-        transport_obj = JobQueueTransport(
-            queue_dir, lease_s=tuning.lease_s,
-            shard_timeout=shard_timeout, poll_s=tuning.poll_s,
-            reclaim_grace_s=tuning.reclaim_grace_s)
-        owns_transport = True
-        if spawn_workers is None or spawn_workers:
-            worker_procs = spawn_local_workers(
-                queue_dir, workers, cache_dir=artifact_cache.root,
-                cache_enabled=cache, poll_s=tuning.poll_s)
-    elif transport == "socket":
-        from .sock import SocketTransport, parse_address, \
-            spawn_socket_workers
-        host, port = parse_address(listen or "127.0.0.1:0")
-        supervise = True
-        transport_obj = SocketTransport(
-            host=host, port=port, lease_s=tuning.lease_s,
-            shard_timeout=shard_timeout, poll_s=tuning.poll_s,
-            reclaim_grace_s=tuning.reclaim_grace_s)
-        owns_transport = True
-        if spawn_workers is None or spawn_workers:
-            worker_procs = spawn_socket_workers(
-                transport_obj.host, transport_obj.port, workers,
-                cache_dir=artifact_cache.root, cache_enabled=cache)
-    elif isinstance(transport, ShardTransport):
-        supervise = True
-        transport_obj = transport
-    elif transport not in (None, "pipe"):
-        raise ValueError(f"unknown transport: {transport!r}")
-
-    if supervise:
-        executor: Any = SupervisedExecutor(
-            workers=workers, cache=artifact_cache,
-            shard_timeout=shard_timeout, max_retries=max_retries,
-            allow_partial=allow_partial, transport=transport_obj,
-            lifecycle=lifecycle)
-    else:
-        executor = ShardExecutor(workers=workers, cache=artifact_cache)
+    owned = not isinstance(transport, ShardTransport)
+    if owned:
+        name = transport or ("jobqueue" if queue_dir is not None
+                             else "pipe")
+        if name not in TRANSPORTS:
+            raise ValueError(f"unknown transport: {transport!r}")
+        transport = TRANSPORTS[name](
+            workers=workers, shard_timeout=shard_timeout,
+            tuning=queue_tuning or QueueTuning(), cache=artifact_cache,
+            spawn=spawn_workers is None or spawn_workers,
+            queue_dir=queue_dir, listen=listen)
+    executor = SupervisedExecutor(
+        workers=workers, cache=artifact_cache, shard_timeout=shard_timeout,
+        max_retries=max_retries, allow_partial=allow_partial,
+        transport=transport, lifecycle=lifecycle)
     ctx = RunContext(experiment_id, executor)
 
     started = time.perf_counter()
     try:
         payload = runner(ctx, config)
     finally:
-        if transport == "socket":
-            # Close first: the stop broadcast is what tells dialed-in
-            # workers to exit instead of redialing a dead port.
-            if owns_transport and transport_obj is not None:
-                transport_obj.close()
-            if worker_procs:
-                from .dist import join_workers
-                join_workers(worker_procs)
-        else:
-            if worker_procs:
-                from .dist import join_workers, stop_workers
-                stop_workers(queue_dir)
-                join_workers(worker_procs)
-            if owns_transport and transport_obj is not None:
-                transport_obj.close()
+        if owned:
+            transport.close()
     total_s = time.perf_counter() - started
 
     provenance = Provenance(
@@ -221,11 +218,9 @@ def run_experiment(experiment_id: str,
         "shard_ms_total": sum(record.elapsed_ms
                               for record in ctx.shard_records),
     }
-    manifest = None
-    if supervise:
-        manifest = RunManifest(experiment_id=experiment_id,
-                               workers=executor.workers,
-                               shards=executor.manifest_shards)
+    manifest = RunManifest(experiment_id=experiment_id,
+                           workers=executor.workers,
+                           shards=executor.manifest_shards)
     return ExperimentResult(
         experiment_id=experiment_id,
         rows=payload.get("rows", []),

@@ -63,6 +63,22 @@ def shard_key(worker: str, payload: Dict[str, Any]) -> str:
     }, length=32)
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Publish *text* at *path* via temp file + rename, so readers
+    only ever see whole files."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as stream:
+            stream.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # repro: allow-broad-except -- tmp-file cleanup must run even on KeyboardInterrupt; the exception is re-raised
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def _payload_digest(lines: List[str]) -> str:
     """The integrity digest over an entry's serialized row lines."""
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:32]
@@ -192,29 +208,21 @@ class ArtifactCache:
 
     def store(self, key: str, worker: str,
               rows: List[Dict[str, Any]]) -> None:
-        """Persist *rows* under *key* (atomic; no-op when disabled)."""
+        """Persist *rows* under *key* (atomic; no-op when disabled, or
+        when the entry exists: keys are content addresses, and a
+        corrupt entry was already quarantined by :meth:`load`)."""
         if not self.enabled:
             return
         path = self._path(key)
+        if os.path.exists(path):
+            return
         os.makedirs(os.path.dirname(path), exist_ok=True)
         lines = [json.dumps(row, sort_keys=True) for row in rows]
         header = {"format": _HEADER_FORMAT, "version": SCHEMA_VERSION,
                   "key": key, "worker": worker, "rows": len(rows),
                   "digest": _payload_digest(lines)}
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as stream:
-                stream.write(json.dumps(header) + "\n")
-                for line in lines:
-                    stream.write(line + "\n")
-            os.replace(tmp, path)
-        except BaseException:  # repro: allow-broad-except -- tmp-file cleanup must run even on KeyboardInterrupt; the exception is re-raised
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, "".join(line + "\n" for line in
+                                   [json.dumps(header)] + lines))
 
     # -- maintenance (the `repro cache` CLI sits on these) ------------
 

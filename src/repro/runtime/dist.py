@@ -26,15 +26,16 @@ The protocol, state by state:
   early, polls again, and takes whatever is unleased — no scheduler
   needs to model host speeds.
 * **lease** — the winner writes a lease with a deadline and renews it
-  from a heartbeat thread.  The heartbeat stops renewing once the
-  job's wall-clock budget (the supervisor's ``shard_timeout``) is
+  from a :func:`heartbeat` thread.  The heartbeat stops renewing once
+  the job's wall-clock budget (the supervisor's ``shard_timeout``) is
   exhausted, so a *hung* worker's lease expires just like a *dead*
   worker's does.
-* **reclaim** — the coordinator treats an expired (or never-written)
-  lease as a failed attempt: it retracts the claim, reports ``crash``
-  or ``hang`` to the supervisor, and the supervisor's existing
-  ``classify_exception`` retry/quarantine policy decides whether a
-  fresh job (a new ticket) is published or the shard is quarantined.
+* **reclaim** — an expired (or, after a grace window, never-written)
+  lease is a failed attempt (:func:`classify_lease`): the coordinator
+  retracts the claim, reports ``crash`` or ``hang`` to the supervisor,
+  and the supervisor's existing ``classify_exception`` retry/quarantine
+  policy decides whether a fresh job (a new ticket) is published or
+  the shard is quarantined.
 * **result** — rows ride inline in a digest-checked envelope *and*
   land in the content-addressed cache under exactly the same key the
   single-host runtime uses, so a campaign SIGKILLed at any point —
@@ -45,6 +46,10 @@ fresh ticket and job id, a zombie's late envelope matches no
 outstanding ticket and is swept, and because workers are pure
 functions of their payloads a duplicated computation produces
 identical rows anyway.  Topology changes scheduling, never content.
+
+The worker core (:class:`FleetWorker`), lease step, coordinator core
+(:class:`FleetCoordinator`) and fleet spawning here serve the socket
+fleet (:mod:`repro.runtime.sock`) too.
 
 This module is the runtime's one home for wall-clock reads and
 sleeps (`now_s`): leases are real-time contracts between real
@@ -59,15 +64,14 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..canon import stable_digest
-from .cache import ArtifactCache
-from .executor import ShardSpec, resolve_worker
-from .transport import AttemptOutcome, ShardTransport
+from .cache import ArtifactCache, write_atomic
+from .executor import ShardSpec, execute_job
+from .transport import AttemptOutcome, ShardTransport, envelope_outcome
 
 QUEUE_FORMAT = "repro-job"
 QUEUE_VERSION = 1
@@ -166,6 +170,36 @@ def classify_expiry(elapsed_s: float,
         and elapsed_s >= float(timeout) else "crash"
 
 
+def lease_document(job: str, owner: str, claimed_at: float, now: float,
+                   term_s: float, renewals: int = 0) -> Dict[str, Any]:
+    """A lease: *owner* holds *job* until ``now + term_s`` (pure);
+    each renewal is a fresh one with the original *claimed_at*."""
+    return {"job": job, "owner": owner, "claimed_at": claimed_at,
+            "expires_at": now + term_s, "renewals": renewals}
+
+
+def classify_lease(job: Dict[str, Any], lease: Dict[str, Any],
+                   now: float) -> Optional[AttemptOutcome]:
+    """The lease-expiry step (pure; shared by both fleets).
+
+    None while *lease* is live at *now*; once it lapsed, the
+    ``crash``/``hang`` outcome (:func:`classify_expiry`) owed for the
+    attempt *job* was dispatched as.  A lease naming no owner is the
+    grace window of a claim whose claimant never wrote its lease.
+    """
+    if float(lease.get("expires_at", 0.0)) > now:
+        return None
+    owner = str(lease.get("owner") or "")
+    elapsed_s = now - float(lease.get("claimed_at", now))
+    detail = f"lease expired (owner {owner})" if owner \
+        else "claimed but never leased"
+    return AttemptOutcome(
+        ticket=job["ticket"],
+        outcome=classify_expiry(elapsed_s, job.get("timeout")),
+        message=f"{detail} after {elapsed_s:.2f}s",
+        elapsed_ms=elapsed_s * 1000.0, owner=owner)
+
+
 def merge_job_results(envelopes: List[Dict[str, Any]],
                       expected: Dict[str, Dict[str, Any]]
                       ) -> List[Dict[str, Any]]:
@@ -212,20 +246,8 @@ def merge_job_results(envelopes: List[Dict[str, Any]],
 # ---------------------------------------------------------------------------
 
 def _write_atomic(path: str, document: Dict[str, Any]) -> None:
-    """Publish *document* at *path* via temp-file + rename, so readers
-    only ever see whole documents."""
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as stream:
-            stream.write(json.dumps(document, sort_keys=True))
-        os.replace(tmp, path)
-    except BaseException:  # repro: allow-broad-except -- tmp-file cleanup must run even on KeyboardInterrupt; the exception is re-raised
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Publish *document* at *path*; readers only see whole files."""
+    write_atomic(path, json.dumps(document, sort_keys=True))
 
 
 def _read_json(path: str) -> Optional[Dict[str, Any]]:
@@ -278,30 +300,91 @@ class QueuePaths:
 
 
 # ---------------------------------------------------------------------------
+# the worker loop both fleets share
+# ---------------------------------------------------------------------------
+
+def heartbeat(job: Dict[str, Any], renew: Callable[[int], bool],
+              stop: threading.Event) -> None:
+    """Call ``renew(n)`` every third of a lease until *stop* is set.
+
+    Two deliberate silences: once the job's wall-clock budget is spent
+    the lease is left to lapse, so the coordinator reclaims a *hang*
+    exactly as it reclaims a death; and once *renew* returns False (the
+    claim was retracted, the connection died) renewing again would only
+    fight the reclaim, so the attempt is forfeit.
+    """
+    lease_s = float(job.get("lease_s") or DEFAULT_LEASE_S)
+    interval = max(0.05, lease_s / 3.0)
+    timeout = job.get("timeout")
+    started = time.perf_counter()
+    renewals = 0
+    while not stop.wait(interval):
+        if timeout is not None \
+                and time.perf_counter() - started > float(timeout):
+            return
+        renewals += 1
+        if not renew(renewals):
+            return
+
+
+class FleetWorker:
+    """What queue and socket workers share: identity, cache, telemetry,
+    and the one leased execute step.
+
+    Workers are interchangeable and stateless between jobs: everything
+    durable lives in the coordinator and the artifact cache, so any
+    number can join or die at any time.  A worker never decides a
+    shard's fate — it reports, the coordinator disposes.
+    """
+
+    def __init__(self, worker_id: str, cache: Optional[ArtifactCache],
+                 events: Optional[Any]) -> None:
+        self.worker_id = worker_id
+        self.cache = cache
+        #: Optional :class:`repro.monitor.events.EventLogWriter`;
+        #: receives ``worker`` lifecycle events (telemetry, not content).
+        self.events = events
+
+    def _run_job(self, job: Dict[str, Any],
+                 renew: Callable[[int], bool]) -> Dict[str, Any]:
+        """:func:`~repro.runtime.executor.execute_job` while a
+        :func:`heartbeat` thread renews the lease; returns the result
+        envelope."""
+        label = job.get("label") or job.get("job") or ""
+        self._emit("claim", label)
+        stop = threading.Event()
+        beat = threading.Thread(target=heartbeat, args=(job, renew, stop),
+                                daemon=True)
+        beat.start()
+        try:
+            envelope = execute_job(job, self.cache, self.worker_id)
+        finally:
+            stop.set()
+            beat.join(timeout=1.0)
+        self._emit("done" if envelope["outcome"] == "ok" else "error",
+                   label)
+        return envelope
+
+    def _emit(self, state: str, shard: str) -> None:
+        if self.events is not None:
+            self.events.append("worker", ts=int(now_s()), data={
+                "worker": self.worker_id, "state": state, "shard": shard})
+
+
+# ---------------------------------------------------------------------------
 # the worker side (`repro worker`)
 # ---------------------------------------------------------------------------
 
-class QueueWorker:
-    """One claim → compute → publish loop over a shared queue.
-
-    Workers are interchangeable and stateless between jobs: everything
-    durable lives in the queue directory and the artifact cache, so
-    any number can join or die at any time.  A worker never decides a
-    shard's fate — it reports, the coordinator disposes.
-    """
+class QueueWorker(FleetWorker):
+    """One claim → compute → publish loop over a shared queue."""
 
     def __init__(self, queue_dir: str, worker_id: str,
                  cache: Optional[ArtifactCache] = None,
                  poll_s: float = DEFAULT_POLL_S,
                  events: Optional[Any] = None) -> None:
+        super().__init__(worker_id, cache, events)
         self.paths = QueuePaths(queue_dir)
-        self.worker_id = worker_id
-        self.cache = cache if cache is not None \
-            else ArtifactCache(enabled=False)
         self.poll_s = poll_s
-        #: Optional :class:`repro.monitor.events.EventLogWriter`;
-        #: receives ``worker`` lifecycle events (telemetry, not content).
-        self.events = events
 
     # -- lifecycle ----------------------------------------------------
 
@@ -368,99 +451,131 @@ class QueueWorker:
     def execute(self, job: Dict[str, Any]) -> Dict[str, Any]:
         """Run one claimed job and publish its result envelope.
 
-        The heartbeat thread renews the lease while compute is in
-        flight; the envelope is published atomically *before* the
-        claim and lease are released, so there is no instant at which
-        the job looks both unowned and unfinished.
+        The heartbeat renews the lease while compute is in flight; the
+        envelope is published atomically *before* the claim and lease
+        are released, so there is no instant at which the job looks
+        both unowned and unfinished.
         """
         claimed_at = now_s()
-        stop = threading.Event()
-        heartbeat = threading.Thread(
-            target=self._heartbeat, args=(job, claimed_at, stop),
-            daemon=True)
-        heartbeat.start()
-        self._emit("claim", job)
-        envelope: Dict[str, Any] = {
-            "job": job["job"], "ticket": job["ticket"],
-            "digest": job.get("digest"), "owner": self.worker_id,
-        }
-        key = job.get("key") or ""
-        started = time.perf_counter()
-        try:
-            rows = self.cache.load(key) if key else None
-            cached = rows is not None
-            if rows is None:
-                rows = resolve_worker(job["worker"])(job["payload"])
-            envelope.update(outcome="ok", rows=rows, cached=cached)
-        except BaseException as exc:  # repro: allow-broad-except -- worker-fleet firewall; the coordinator classifies the failure by exception name
-            envelope.update(outcome="error", type=type(exc).__name__,
-                            message=str(exc))
-        finally:
-            stop.set()
-        envelope["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
-        if envelope["outcome"] == "ok" and key:
-            # Same key, same bytes as the single-host runtime: this is
-            # what lets a killed campaign resume on any topology.
-            self.cache.store(key, job["worker"], envelope["rows"])
+        envelope = self._run_job(
+            job, lambda renewals: self._renew(job, claimed_at, renewals))
         self.paths.ensure()
         _write_atomic(self.paths.result_path(job["job"]), envelope)
         _unlink_quiet(self.paths.claimed_path(job["job"]))
         _unlink_quiet(self.paths.lease_path(job["job"]))
-        heartbeat.join(timeout=1.0)
-        self._emit("done" if envelope["outcome"] == "ok" else "error", job)
         return envelope
 
     # -- leases -------------------------------------------------------
 
     def _write_lease(self, job: Dict[str, Any], claimed_at: float,
                      renewals: int) -> None:
-        _write_atomic(self.paths.lease_path(job["job"]), {
-            "job": job["job"],
-            "owner": self.worker_id,
-            "claimed_at": claimed_at,
-            "expires_at": now_s() + float(job.get("lease_s")
-                                          or DEFAULT_LEASE_S),
-            "renewals": renewals,
-        })
+        _write_atomic(self.paths.lease_path(job["job"]), lease_document(
+            job["job"], self.worker_id, claimed_at, now_s(),
+            float(job.get("lease_s") or DEFAULT_LEASE_S), renewals))
 
-    def _heartbeat(self, job: Dict[str, Any], claimed_at: float,
-                   stop: threading.Event) -> None:
-        """Renew the lease until compute finishes — or stop renewing.
-
-        Two deliberate silences: once the job's wall-clock budget is
-        exhausted we let the lease lapse so the coordinator reclaims a
-        *hang* exactly as it reclaims a death; and once the claim file
-        disappears (the coordinator already reclaimed us) renewing
-        would only fight the reclaim, so the attempt is forfeit.
-        """
-        lease_s = float(job.get("lease_s") or DEFAULT_LEASE_S)
-        interval = max(0.05, lease_s / 3.0)
-        timeout = job.get("timeout")
-        renewals = 0
-        while not stop.wait(interval):
-            if timeout is not None \
-                    and now_s() - claimed_at > float(timeout):
-                return
-            if not os.path.exists(self.paths.claimed_path(job["job"])):
-                return
-            renewals += 1
-            self._write_lease(job, claimed_at, renewals)
-
-    # -- telemetry ----------------------------------------------------
-
-    def _emit(self, state: str, job: Dict[str, Any]) -> None:
-        if self.events is None:
-            return
-        self.events.append("worker", ts=int(now_s()), data={
-            "worker": self.worker_id, "state": state,
-            "shard": job.get("label") or job["job"]})
+    def _renew(self, job: Dict[str, Any], claimed_at: float,
+               renewals: int) -> bool:
+        """One heartbeat: rewrite the lease — unless the claim file is
+        gone (the coordinator already reclaimed us), when renewing
+        would only fight the reclaim."""
+        if not os.path.exists(self.paths.claimed_path(job["job"])):
+            return False
+        self._write_lease(job, claimed_at, renewals)
+        return True
 
 
 # ---------------------------------------------------------------------------
 # the coordinator side (a ShardTransport)
 # ---------------------------------------------------------------------------
 
-class JobQueueTransport(ShardTransport):
+class FleetCoordinator(ShardTransport):
+    """What the queue and socket coordinators share; each subclass is
+    only its document channel (files, frames).
+
+    The transport itself is the buffer: the supervisor dispatches the
+    whole plan and however many workers exist steal from it.  Every
+    dispatch is a :func:`job_document` in :attr:`outstanding` until a
+    result envelope credits it (:meth:`_credit`) or its lease lapses
+    (:meth:`_reclaim_expired`).  *fleet*, when given, starts the worker
+    processes the transport owns; it runs on the first dispatch — a
+    run served entirely from cache starts no fleet — and ``close()``
+    stops and joins them.
+    """
+
+    def __init__(self, lease_s: float, shard_timeout: Optional[float],
+                 poll_s: float, reclaim_grace_s: Optional[float],
+                 fleet: Optional[Callable[..., List["subprocess.Popen"]]]
+                 ) -> None:
+        self.lease_s = float(lease_s)
+        self.shard_timeout = shard_timeout
+        self.poll_s = poll_s
+        #: How long a fresh claim may go unleased (queue) or
+        #: unrenewed (socket) before it counts as dead — covers a
+        #: worker killed at the worst possible instant.
+        self.reclaim_grace_s = reclaim_grace_s \
+            if reclaim_grace_s is not None else max(2.0 * self.lease_s, 1.0)
+        #: ticket -> dispatched job document.
+        self.outstanding: Dict[int, Dict[str, Any]] = {}
+        self._spawn = fleet
+        #: The worker processes this transport started.
+        self.fleet: List["subprocess.Popen"] = []
+
+    def slots(self) -> int:
+        return 1_000_000_000
+
+    def _new_job(self, ticket: int, worker: str, payload: Dict[str, Any],
+                 key: str, label: str) -> Dict[str, Any]:
+        """Record one dispatch's job document for the channel to send."""
+        job = job_document(ticket, worker, payload, key, label,
+                           self.shard_timeout, self.lease_s)
+        self.outstanding[ticket] = job
+        if self._spawn is not None:
+            spawn, self._spawn = self._spawn, None
+            self.fleet = spawn(self)
+        return job
+
+    def _credit(self, envelopes: List[Any]) -> List[AttemptOutcome]:
+        """Outcomes for the envelopes that settle outstanding tickets
+        (:func:`merge_job_results` decides which do)."""
+        expected = {str(ticket): job
+                    for ticket, job in self.outstanding.items()}
+        outcomes: List[AttemptOutcome] = []
+        for envelope in merge_job_results(envelopes, expected):
+            job = self.outstanding.pop(envelope["ticket"])
+            self._release(job["job"])
+            outcomes.append(envelope_outcome(envelope))
+        return outcomes
+
+    def _reclaim_expired(self, now: float) -> List[AttemptOutcome]:
+        """Expired leases become ``crash``/``hang`` attempt outcomes
+        (:func:`classify_lease`); the channel retracts each one."""
+        outcomes: List[AttemptOutcome] = []
+        for job, lease in self._held(now):
+            outcome = classify_lease(job, lease, now)
+            if outcome is not None:
+                del self.outstanding[job["ticket"]]
+                self._retract(job["job"])
+                outcomes.append(outcome)
+        return outcomes
+
+    # -- the document channel -----------------------------------------
+
+    def _held(self, now: float) -> List[Tuple[Dict[str, Any],
+                                              Dict[str, Any]]]:
+        """``(job, lease)`` for every outstanding job somebody holds,
+        in ticket order."""
+        raise NotImplementedError
+
+    def _release(self, job_id: str) -> None:
+        """Forget a settled job's claim and lease."""
+        raise NotImplementedError
+
+    def _retract(self, job_id: str) -> None:
+        """Take a reclaimed job back from its (presumed dead) holder."""
+        self._release(job_id)
+
+
+class JobQueueTransport(FleetCoordinator):
     """The coordinator's view of the queue, as a shard transport.
 
     One coordinator owns one queue directory: construction resets the
@@ -468,25 +583,20 @@ class JobQueueTransport(ShardTransport):
     left mid-flight; completed shards come back from the artifact
     cache, so coordinator death costs at most the shards that were in
     flight).  The supervisor keeps all retry/quarantine policy; this
-    class only moves attempts and detects their deaths.
+    class only moves attempts and detects their deaths.  An owned
+    *fleet* comes from :func:`spawn_local_workers`.
     """
 
     def __init__(self, queue_dir: str,
                  lease_s: float = DEFAULT_LEASE_S,
                  shard_timeout: Optional[float] = None,
                  poll_s: float = DEFAULT_POLL_S,
-                 reclaim_grace_s: Optional[float] = None) -> None:
+                 reclaim_grace_s: Optional[float] = None,
+                 fleet: Optional[Callable[..., List["subprocess.Popen"]]]
+                 = None) -> None:
+        super().__init__(lease_s, shard_timeout, poll_s, reclaim_grace_s,
+                         fleet)
         self.paths = QueuePaths(queue_dir)
-        self.lease_s = float(lease_s)
-        self.shard_timeout = shard_timeout
-        self.poll_s = poll_s
-        #: How long a claim may sit without a visible lease before it
-        #: counts as dead — covers the claim-to-first-lease write
-        #: window of a worker killed at the worst possible instant.
-        self.reclaim_grace_s = reclaim_grace_s \
-            if reclaim_grace_s is not None else max(2.0 * self.lease_s, 1.0)
-        #: ticket -> dispatched job document.
-        self.outstanding: Dict[int, Dict[str, Any]] = {}
         #: job id -> when we first saw it claimed-but-unleased.
         self._unleased_since: Dict[str, float] = {}
         self._reset()
@@ -505,36 +615,32 @@ class JobQueueTransport(ShardTransport):
 
     # -- interface ----------------------------------------------------
 
-    def slots(self) -> int:
-        # The queue itself is the buffer: publish the whole plan and
-        # let however many workers exist steal from it.
-        return 1_000_000_000
-
     def dispatch(self, ticket: int, worker: str,
                  payload: Dict[str, Any], key: str = "",
                  label: str = "") -> None:
-        job = job_document(ticket, worker, payload, key, label,
-                           self.shard_timeout, self.lease_s)
+        job = self._new_job(ticket, worker, payload, key, label)
         self.paths.ensure()
         _write_atomic(self.paths.todo_path(job["job"]), job)
-        self.outstanding[ticket] = job
 
     def poll(self, timeout_s: float) -> List[AttemptOutcome]:
         deadline = time.perf_counter() + timeout_s
         while True:
             outcomes = self._collect_results()
-            outcomes.extend(self._reclaim_expired())
+            outcomes.extend(self._reclaim_expired(now_s()))
             remaining = deadline - time.perf_counter()
             if outcomes or remaining <= 0:
                 return outcomes
             time.sleep(min(self.poll_s, remaining))
 
     def close(self) -> None:
-        # Workers are not ours to kill — `stop_workers` is the explicit
-        # fleet-shutdown signal, sent by whoever spawned the fleet.
-        pass
+        # Only a fleet we started is ours to stop; an external one is
+        # stopped by whoever started it (`stop_workers`).
+        if self.fleet:
+            stop_workers(self.paths.root)
+            join_workers(self.fleet)
+            self.fleet = []
 
-    # -- results ------------------------------------------------------
+    # -- the file channel ---------------------------------------------
 
     def _collect_results(self) -> List[AttemptOutcome]:
         try:
@@ -548,25 +654,7 @@ class JobQueueTransport(ShardTransport):
             envelope = _read_json(os.path.join(self.paths.results, name))
             if envelope is not None:
                 envelopes.append(envelope)
-        expected = {str(ticket): job
-                    for ticket, job in self.outstanding.items()}
-        outcomes: List[AttemptOutcome] = []
-        for envelope in merge_job_results(envelopes, expected):
-            job = self.outstanding.pop(envelope["ticket"])
-            self._release(job["job"])
-            if envelope["outcome"] == "ok":
-                outcomes.append(AttemptOutcome(
-                    ticket=envelope["ticket"], outcome="ok",
-                    rows=envelope["rows"],
-                    elapsed_ms=float(envelope.get("elapsed_ms", 0.0)),
-                    owner=str(envelope.get("owner", ""))))
-            else:
-                outcomes.append(AttemptOutcome(
-                    ticket=envelope["ticket"], outcome="error",
-                    type_name=str(envelope.get("type", "")),
-                    message=str(envelope.get("message", "")),
-                    elapsed_ms=float(envelope.get("elapsed_ms", 0.0)),
-                    owner=str(envelope.get("owner", ""))))
+        outcomes = self._credit(envelopes)
         # Sweep stale envelopes: anything naming a job no longer
         # outstanding is a reclaimed zombie's late echo.
         live = {job["job"] for job in self.outstanding.values()}
@@ -578,71 +666,52 @@ class JobQueueTransport(ShardTransport):
         return outcomes
 
     def _release(self, job_id: str) -> None:
+        # Retracting the claim file is also what defuses a racing
+        # zombie: its heartbeat checks the claim before renewing, so
+        # deleting it wins any renewal race within one interval.
         self._unleased_since.pop(job_id, None)
         _unlink_quiet(self.paths.claimed_path(job_id))
         _unlink_quiet(self.paths.lease_path(job_id))
 
-    # -- lease reclaim ------------------------------------------------
-
-    def _reclaim_expired(self) -> List[AttemptOutcome]:
-        """Expired leases become ``crash``/``hang`` attempt outcomes.
-
-        Retracting the claim file is what defuses the racing zombie:
-        its heartbeat checks the claim before renewing, so deleting it
-        wins any renewal race within one heartbeat interval — and even
-        a renewal that lands after our lease read only delays the next
-        reclaim, never resurrects the ticket we already retired.
-        """
-        outcomes: List[AttemptOutcome] = []
-        now = now_s()
-        for ticket, job in sorted(self.outstanding.items()):
+    def _held(self, now: float) -> List[Tuple[Dict[str, Any],
+                                              Dict[str, Any]]]:
+        held = []
+        for _ticket, job in sorted(self.outstanding.items()):
             job_id = job["job"]
             if not os.path.exists(self.paths.claimed_path(job_id)):
                 # Still in todo/ (or mid-claim): nothing to time out.
                 self._unleased_since.pop(job_id, None)
                 continue
             lease = _read_json(self.paths.lease_path(job_id))
-            owner = ""
-            if lease is None:
-                first = self._unleased_since.setdefault(job_id, now)
-                if now - first < self.reclaim_grace_s:
-                    continue
-                elapsed_s = now - first
-                outcome = "crash"
-                detail = "claimed but never leased"
-            else:
+            if lease is not None:
                 self._unleased_since.pop(job_id, None)
-                if float(lease.get("expires_at", 0.0)) > now:
-                    continue
-                owner = str(lease.get("owner", ""))
-                elapsed_s = now - float(lease.get("claimed_at", now))
-                outcome = classify_expiry(elapsed_s, job.get("timeout"))
-                detail = f"lease expired (owner {owner or 'unknown'})"
-            del self.outstanding[ticket]
-            self._release(job_id)
-            outcomes.append(AttemptOutcome(
-                ticket=ticket, outcome=outcome,
-                message=f"{detail} after {elapsed_s:.2f}s",
-                elapsed_ms=elapsed_s * 1000.0, owner=owner))
-        return outcomes
+            else:
+                # Claimed but never leased (the claimant died between
+                # rename and lease write): an ownerless grace lease.
+                first = self._unleased_since.setdefault(job_id, now)
+                lease = lease_document(job_id, "", first, first,
+                                       self.reclaim_grace_s)
+            held.append((job, lease))
+        return held
 
 
 # ---------------------------------------------------------------------------
 # local fleet helpers (`repro run --transport jobqueue` sits on these)
 # ---------------------------------------------------------------------------
 
-def spawn_local_workers(queue_dir: str, count: int,
-                        cache_dir: Optional[str] = None,
-                        cache_enabled: bool = True,
-                        poll_s: float = DEFAULT_POLL_S,
-                        events_dir: Optional[str] = None
-                        ) -> List["subprocess.Popen"]:
-    """Start *count* ``repro worker`` subprocesses against *queue_dir*.
+def spawn_workers(channel: List[str], count: int, prefix: str,
+                  cache_dir: Optional[str] = None,
+                  cache_enabled: bool = True,
+                  events_dir: Optional[str] = None
+                  ) -> List["subprocess.Popen"]:
+    """Start *count* ``repro worker`` subprocesses, ids ``prefix-N``.
 
-    The children inherit this interpreter and get ``src`` on their
+    *channel* is the worker flags naming the fleet's document channel
+    (``--queue-dir DIR ...`` or ``--connect HOST:PORT ...``).  The
+    children inherit this interpreter and get ``src`` on their
     ``PYTHONPATH``, so the helper works from a source checkout exactly
-    like the CI smokes do.  Callers own the processes: send
-    :func:`stop_workers` and then :func:`join_workers` to wind down.
+    like the CI smokes do.  Callers own the processes and wind them
+    down with the channel's stop signal and :func:`join_workers`.
     """
     src_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
@@ -650,10 +719,9 @@ def spawn_local_workers(queue_dir: str, count: int,
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
     processes = []
     for index in range(count):
-        worker_id = f"local-{index}"
-        command = [sys.executable, "-m", "repro", "worker",
-                   "--queue-dir", queue_dir, "--id", worker_id,
-                   "--poll", str(poll_s)]
+        worker_id = f"{prefix}-{index}"
+        command = [sys.executable, "-m", "repro", "worker", *channel,
+                   "--id", worker_id]
         if not cache_enabled:
             command.append("--no-cache")
         elif cache_dir:
@@ -664,6 +732,20 @@ def spawn_local_workers(queue_dir: str, count: int,
                                          f"{worker_id}.events.jsonl")])
         processes.append(subprocess.Popen(command, env=env))
     return processes
+
+
+def spawn_local_workers(queue_dir: str, count: int,
+                        cache_dir: Optional[str] = None,
+                        cache_enabled: bool = True,
+                        poll_s: float = DEFAULT_POLL_S,
+                        events_dir: Optional[str] = None
+                        ) -> List["subprocess.Popen"]:
+    """Start *count* ``repro worker`` subprocesses against *queue_dir*;
+    wind down with :func:`stop_workers` and :func:`join_workers`."""
+    return spawn_workers(["--queue-dir", queue_dir, "--poll", str(poll_s)],
+                         count, "local", cache_dir=cache_dir,
+                         cache_enabled=cache_enabled,
+                         events_dir=events_dir)
 
 
 def stop_workers(queue_dir: str) -> None:

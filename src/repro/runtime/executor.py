@@ -1,24 +1,24 @@
-"""Shard execution: serial or multiprocessing, same bytes either way.
+"""Shard execution: the one step every transport runs a job through.
 
 A :class:`ShardSpec` is a picklable description of one work unit — a
 dotted ``module:function`` worker entrypoint plus a JSON-able payload.
-The :class:`ShardExecutor` first satisfies what it can from the
-artifact cache, then computes the misses serially (``workers=1``) or
-in a process pool.  Because every worker is a pure function of its
-payload, the execution strategy can never change the output — only
-the wall clock.
+:func:`execute_job` is the single place a shard is computed, whichever
+transport carried it (in-process, pipe pool, job queue, or socket
+fleet): cache-first by shard key, a firewall that turns any raised
+exception into a typed error envelope, timing, cache store, and the
+result envelope the coordinator credits.  Because every worker is a
+pure function of its payload, the carrier can never change the output
+— only the wall clock.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..refs import resolve_ref
 from .cache import ArtifactCache, shard_key
-from .result import ShardRecord
 
 
 def resolve_worker(dotted: str) -> Callable[[Dict[str, Any]], List[Dict[str, Any]]]:
@@ -47,72 +47,39 @@ class ShardSpec:
         return shard_key(self.worker, self.payload)
 
 
-def _execute(item: Tuple[int, str, str, Dict[str, Any]]
-             ) -> Tuple[int, str, List[Dict[str, Any]], float]:
-    """Run one shard (in this or a pool process); returns rows + ms.
+def execute_job(job: Dict[str, Any], cache: Optional[ArtifactCache] = None,
+                owner: str = "", isolated: bool = True) -> Dict[str, Any]:
+    """Run one job document; returns its result envelope.
 
-    The cache key rides along untouched so the scheduling and storing
-    sides of the run always agree on one computation of it.
+    *job* carries ``ticket``, ``worker`` and ``payload`` (the fleets'
+    :func:`~repro.runtime.dist.job_document` adds the ``job`` id,
+    ``digest`` and cache ``key``).  The envelope echoes id, ticket and
+    digest, names *owner*, and carries ``rows`` or the exception's
+    ``type`` name and ``message``, by which the coordinator classifies
+    the failure.  Rows land in *cache* under the single-host key, so a
+    killed campaign resumes on any topology.  Only an *isolated* job
+    (one in a disposable worker process) turns ``KeyboardInterrupt``
+    and ``SystemExit`` into error envelopes too.
     """
-    index, key, worker, payload = item
+    envelope: Dict[str, Any] = {
+        "job": job.get("job"), "ticket": job.get("ticket"),
+        "digest": job.get("digest"), "owner": owner,
+    }
+    cache = cache if cache is not None else ArtifactCache(enabled=False)
+    key = job.get("key") or ""
     started = time.perf_counter()
-    rows = resolve_worker(worker)(payload)
-    return index, key, rows, (time.perf_counter() - started) * 1000.0
-
-
-class ShardExecutor:
-    """Run shard specs against a cache, serially or in parallel."""
-
-    def __init__(self, workers: int = 1,
-                 cache: Optional[ArtifactCache] = None) -> None:
-        self.workers = max(1, workers)
-        self.cache = cache if cache is not None else ArtifactCache(enabled=False)
-
-    def run(self, specs: List[ShardSpec]
-            ) -> Tuple[List[List[Dict[str, Any]]], List[ShardRecord]]:
-        """Execute *specs*; returns (per-spec rows, provenance records).
-
-        Output order always matches spec order, so callers' merges are
-        independent of worker count and cache state.
-        """
-        outputs: List[Optional[List[Dict[str, Any]]]] = [None] * len(specs)
-        records: List[Optional[ShardRecord]] = [None] * len(specs)
-
-        pending: List[Tuple[int, str, str, Dict[str, Any]]] = []
-        for index, spec in enumerate(specs):
-            # One key computation per spec: the same value is threaded
-            # through scheduling, cache writes, and provenance, so the
-            # three can never disagree.
-            key = spec.key() if self.cache.enabled else ""
-            cached = self.cache.load(key) if key else None
-            if cached is not None:
-                outputs[index] = cached
-                records[index] = ShardRecord(
-                    index=index, label=spec.label, key=key, cached=True,
-                    elapsed_ms=0.0, rows=len(cached))
-            else:
-                pending.append((index, key, spec.worker, spec.payload))
-
-        if pending:
-            if self.workers > 1 and len(pending) > 1:
-                # fork shares the parent's imported modules; spawn works
-                # too, just slower to start.
-                try:
-                    context = multiprocessing.get_context("fork")
-                except ValueError:
-                    context = multiprocessing.get_context()
-                with context.Pool(min(self.workers, len(pending))) as pool:
-                    results = pool.map(_execute, pending)
-            else:
-                results = [_execute(item) for item in pending]
-            for index, key, rows, elapsed_ms in results:
-                spec = specs[index]
-                if key:
-                    self.cache.store(key, spec.worker, rows)
-                outputs[index] = rows
-                records[index] = ShardRecord(
-                    index=index, label=spec.label, key=key, cached=False,
-                    elapsed_ms=elapsed_ms, rows=len(rows))
-
-        return [rows if rows is not None else [] for rows in outputs], \
-               [record for record in records if record is not None]
+    try:
+        rows = cache.load(key) if key else None
+        cached = rows is not None
+        if rows is None:
+            rows = resolve_worker(job["worker"])(job["payload"])
+        envelope.update(outcome="ok", rows=rows, cached=cached)
+    except BaseException as exc:  # repro: allow-broad-except -- worker firewall; the coordinator classifies the failure by exception name
+        if not isolated and not isinstance(exc, Exception):
+            raise
+        envelope.update(outcome="error", type=type(exc).__name__,
+                        message=str(exc))
+    envelope["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
+    if envelope["outcome"] == "ok" and key:
+        cache.store(key, job["worker"], envelope["rows"])
+    return envelope

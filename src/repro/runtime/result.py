@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -93,7 +93,7 @@ class ShardState:
 
 @dataclass
 class RunManifest:
-    """Provenance of a supervised run: what every shard went through.
+    """Provenance of a run: what every shard went through.
 
     Partial results always carry this, so a degraded-mode completion
     (``allow_partial=True``) is distinguishable from a clean one, and
@@ -209,8 +209,8 @@ class ExperimentResult:
     provenance: Provenance
     timings: Dict[str, float] = field(default_factory=dict)
     artifacts: Dict[str, Any] = field(default_factory=dict, repr=False)
-    #: Populated by supervised runs only (``supervise=True``).
-    manifest: Optional[RunManifest] = None
+    #: What every shard went through (every run is supervised).
+    manifest: RunManifest = field(default_factory=RunManifest)
 
     @property
     def cache_status(self) -> str:
@@ -227,7 +227,7 @@ class ExperimentResult:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe document (artifacts excluded by design)."""
-        document = {
+        return {
             "experiment_id": self.experiment_id,
             "cache": self.cache_status,
             "rows": _json_safe(self.rows),
@@ -235,7 +235,5 @@ class ExperimentResult:
             "summary": _json_safe(self.summary),
             "provenance": self.provenance.to_dict(),
             "timings": {k: round(v, 3) for k, v in self.timings.items()},
+            "manifest": self.manifest.to_dict(),
         }
-        if self.manifest is not None:
-            document["manifest"] = self.manifest.to_dict()
-        return document

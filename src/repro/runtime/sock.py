@@ -38,9 +38,10 @@ The protocol, state by state:
   shard's wall-clock budget is spent, so a *hang* expires like a
   *death*.
 * **reclaim** — an expired lease becomes a ``crash``/``hang``
-  attempt outcome (:func:`~repro.runtime.dist.classify_expiry`), the
-  worker gets ``RETRACT``, and the supervisor's existing
-  ``classify_exception`` policy decides retry vs. quarantine.
+  attempt outcome through the queue's own lease-expiry step
+  (:func:`~repro.runtime.dist.classify_lease`), the worker gets
+  ``RETRACT``, and the supervisor's existing ``classify_exception``
+  policy decides retry vs. quarantine.
 * **resume** — a worker that lost its connection mid-compute finishes
   the shard, redials, re-``HELLO``\\ s with the claim, and resends the
   result.  If the lease survived, the attempt is credited; if the job
@@ -62,28 +63,26 @@ reaches content.
 from __future__ import annotations
 
 import json
-import os
 import selectors
 import socket
 import subprocess
-import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..canon import stable_digest
 from .cache import ArtifactCache
 from .dist import (
     DEFAULT_LEASE_S,
     DEFAULT_POLL_S,
-    classify_expiry,
-    job_document,
-    merge_job_results,
-    now_s,
+    FleetCoordinator,
+    FleetWorker,
+    join_workers,
+    lease_document,
+    spawn_workers,
 )
-from .executor import resolve_worker
-from .transport import AttemptOutcome, ShardTransport
+from .transport import AttemptOutcome
 
 #: Frame kinds, in protocol order.
 FRAME_KINDS = ("HELLO", "JOB", "HEARTBEAT", "RESULT", "RETRACT")
@@ -276,32 +275,27 @@ class _Peer:
         return bool(self.worker_id) and self.job_id is None
 
 
-class SocketTransport(ShardTransport):
+class SocketTransport(FleetCoordinator):
     """The coordinator's listening end, as a shard transport.
 
     Construction binds (``port=0`` picks an ephemeral port; read
-    :attr:`port` before spawning the fleet).  Like the job queue, the
-    transport itself is the buffer: the supervisor may dispatch the
-    whole plan and however many workers dial in steal from the pending
-    deque — work stealing is the assignment loop.  All lease deadlines
-    live on the coordinator's own monotonic clock, stamped when frames
-    arrive, so nothing is ever compared across machines.
+    :attr:`port` before spawning the fleet).  Dispatched jobs wait in
+    a pending deque that however many workers dial in steal from —
+    work stealing is the assignment loop.  All lease deadlines live on
+    the coordinator's own monotonic clock, stamped when frames arrive,
+    so nothing is ever compared across machines.  An owned *fleet*
+    comes from :func:`spawn_socket_workers`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  lease_s: float = DEFAULT_LEASE_S,
                  shard_timeout: Optional[float] = None,
                  poll_s: float = DEFAULT_POLL_S,
-                 reclaim_grace_s: Optional[float] = None) -> None:
-        self.lease_s = float(lease_s)
-        self.shard_timeout = shard_timeout
-        self.poll_s = poll_s
-        #: Initial lease slack: covers the JOB-send to first-HEARTBEAT
-        #: window of a worker killed at the worst possible instant.
-        self.reclaim_grace_s = reclaim_grace_s \
-            if reclaim_grace_s is not None else max(2.0 * self.lease_s, 1.0)
-        #: ticket -> dispatched job document.
-        self.outstanding: Dict[int, Dict[str, Any]] = {}
+                 reclaim_grace_s: Optional[float] = None,
+                 fleet: Optional[Callable[..., List["subprocess.Popen"]]]
+                 = None) -> None:
+        super().__init__(lease_s, shard_timeout, poll_s, reclaim_grace_s,
+                         fleet)
         self._pending: Deque[Dict[str, Any]] = deque()
         self._tickets: Dict[str, int] = {}         # job id -> ticket
         self._leases: Dict[str, Dict[str, Any]] = {}
@@ -328,16 +322,10 @@ class SocketTransport(ShardTransport):
 
     # -- interface ----------------------------------------------------
 
-    def slots(self) -> int:
-        # Like the queue: publish the whole plan, let the fleet steal.
-        return 1_000_000_000
-
     def dispatch(self, ticket: int, worker: str,
                  payload: Dict[str, Any], key: str = "",
                  label: str = "") -> None:
-        job = job_document(ticket, worker, payload, key, label,
-                          self.shard_timeout, self.lease_s)
-        self.outstanding[ticket] = job
+        job = self._new_job(ticket, worker, payload, key, label)
         self._tickets[job["job"]] = ticket
         self._pending.append(job)
 
@@ -347,13 +335,14 @@ class SocketTransport(ShardTransport):
             remaining = deadline - time.perf_counter()
             self._pump(max(0.0, min(self.poll_s, remaining)))
             self._assign_pending()
-            outcomes = self._take_completed()
-            outcomes.extend(self._reclaim_expired())
+            outcomes, self._completed = self._completed, []
+            outcomes.extend(self._reclaim_expired(time.perf_counter()))
             if outcomes or deadline - time.perf_counter() <= 0:
                 return outcomes
 
     def close(self) -> None:
-        """Broadcast stop to the dialed-in fleet and release the port.
+        """Broadcast stop to the dialed-in fleet and release the port,
+        then join the fleet this transport started, if any.
 
         Idempotent: a supervisor ``finally`` and an outer CLI cleanup
         may both call it.  The stop ``RETRACT`` is what keeps workers
@@ -374,6 +363,8 @@ class SocketTransport(ShardTransport):
             pass
         self._listener.close()
         self._selector.close()
+        join_workers(self.fleet)
+        self.fleet = []
 
     def stats(self) -> Dict[str, int]:
         """Wire counters (telemetry, never content): frames each way,
@@ -516,39 +507,19 @@ class SocketTransport(ShardTransport):
         job_id = envelope.get("job")
         if peer.job_id is not None and peer.job_id == job_id:
             peer.job_id = None       # the peer is idle either way
-        expected = {str(ticket): job
-                    for ticket, job in self.outstanding.items()}
-        merged = merge_job_results([envelope], expected)
-        if not merged:
+        credited = self._credit([envelope])
+        if not credited:
             self._stats["stale_results"] += 1
-            return
-        envelope = merged[0]
-        ticket = envelope["ticket"]
-        job = self.outstanding.pop(ticket)
-        self._retire(job["job"])
-        if envelope["outcome"] == "ok":
-            self._completed.append(AttemptOutcome(
-                ticket=ticket, outcome="ok", rows=envelope["rows"],
-                elapsed_ms=float(envelope.get("elapsed_ms", 0.0)),
-                owner=str(envelope.get("owner", ""))))
-        else:
-            self._completed.append(AttemptOutcome(
-                ticket=ticket, outcome="error",
-                type_name=str(envelope.get("type", "")),
-                message=str(envelope.get("message", "")),
-                elapsed_ms=float(envelope.get("elapsed_ms", 0.0)),
-                owner=str(envelope.get("owner", ""))))
+        self._completed.extend(credited)
 
     # -- leases -------------------------------------------------------
 
     def _renew(self, job_id: str, owner: str) -> None:
-        now = time.perf_counter()
         lease = self._leases.get(job_id)
-        if lease is None:
-            return
-        lease["owner"] = owner
-        lease["expires_at"] = now + self.lease_s
-        lease["renewals"] += 1
+        if lease is not None:
+            self._leases[job_id] = lease_document(
+                job_id, owner, lease["claimed_at"], time.perf_counter(),
+                self.lease_s, lease["renewals"] + 1)
 
     def _assign_pending(self) -> None:
         if not self._pending:
@@ -569,78 +540,56 @@ class SocketTransport(ShardTransport):
             now = time.perf_counter()
             peer.job_id = job_id
             self._carrier[job_id] = peer
-            self._leases[job_id] = {
-                "owner": peer.worker_id, "claimed_at": now,
-                "expires_at": now + max(self.lease_s,
-                                        self.reclaim_grace_s),
-                "renewals": 0}
+            self._leases[job_id] = lease_document(
+                job_id, peer.worker_id, now, now,
+                max(self.lease_s, self.reclaim_grace_s))
 
-    def _retire(self, job_id: str) -> None:
+    # -- the frame channel --------------------------------------------
+
+    def _held(self, now: float) -> List[Tuple[Dict[str, Any],
+                                              Dict[str, Any]]]:
+        return [(self.outstanding[self._tickets[job_id]], lease)
+                for job_id, lease in sorted(self._leases.items())]
+
+    def _release(self, job_id: str) -> None:
         self._tickets.pop(job_id, None)
         self._leases.pop(job_id, None)
         self._carrier.pop(job_id, None)
 
-    def _reclaim_expired(self) -> List[AttemptOutcome]:
-        """Expired leases become ``crash``/``hang`` attempt outcomes.
-
-        The carrying peer — if still connected — keeps its busy mark:
-        it is wedged inside (or still grinding on) the retracted
-        attempt, and handing it new work would queue frames behind a
-        possibly-hung compute.  It becomes assignable again when its
-        late RESULT arrives (and is dropped as stale) or when it
-        disconnects.
-        """
-        outcomes: List[AttemptOutcome] = []
-        now = time.perf_counter()
-        for job_id in sorted(self._leases):
-            lease = self._leases[job_id]
-            if lease["expires_at"] > now:
-                continue
-            ticket = self._tickets.get(job_id)
-            if ticket is None or ticket not in self.outstanding:
-                self._retire(job_id)
-                continue
-            job = self.outstanding.pop(ticket)
-            elapsed_s = now - lease["claimed_at"]
-            outcome = classify_expiry(elapsed_s, job.get("timeout"))
-            owner = str(lease.get("owner", ""))
-            peer = self._carrier.get(job_id)
-            self._retire(job_id)
-            if peer is not None and peer in self._peers:
-                try:
-                    self._send(peer, "RETRACT", {"job": job_id})
-                except OSError:
-                    self._drop_peer(peer)
-            self._stats["jobs_reclaimed"] += 1
-            outcomes.append(AttemptOutcome(
-                ticket=ticket, outcome=outcome,
-                message=(f"lease expired (owner {owner or 'unknown'}) "
-                         f"after {elapsed_s:.2f}s"),
-                elapsed_ms=elapsed_s * 1000.0, owner=owner))
-        return outcomes
-
-    def _take_completed(self) -> List[AttemptOutcome]:
-        outcomes = self._completed
-        self._completed = []
-        return outcomes
+    def _retract(self, job_id: str) -> None:
+        """Reclaim a lapsed job: RETRACT it from a still-connected
+        carrier, which keeps its busy mark — it is wedged inside (or
+        still grinding on) the retracted attempt, and handing it new
+        work would queue frames behind a possibly-hung compute.  It
+        becomes assignable again when its late RESULT arrives (and is
+        dropped as stale) or when it disconnects."""
+        peer = self._carrier.get(job_id)
+        self._release(job_id)
+        if peer is not None and peer in self._peers:
+            try:
+                self._send(peer, "RETRACT", {"job": job_id})
+            except OSError:
+                self._drop_peer(peer)
+        self._stats["jobs_reclaimed"] += 1
 
 
 # ---------------------------------------------------------------------------
 # the worker side (`repro worker --connect`)
 # ---------------------------------------------------------------------------
 
-class SocketWorker:
+class SocketWorker(FleetWorker):
     """One dial → HELLO → compute → RESULT loop against a coordinator.
 
-    The compute path is the queue worker's, verbatim in spirit:
-    cache-first by shard key, a heartbeat thread that goes silent once
-    the shard's budget is spent, a broad-except firewall whose
-    exception *name* the coordinator classifies.  What is new is
-    survival of the wire: a connection lost mid-compute does not lose
-    the attempt — the worker finishes, redials with capped
-    deterministic backoff, re-``HELLO``\\ s with its claim, and resends
-    the result (a duplicate is dropped coordinator-side by
-    ``merge_job_results``).
+    The compute path is the queue worker's, verbatim
+    (:class:`~repro.runtime.dist.FleetWorker`): cache-first by shard
+    key, a heartbeat that goes silent once the shard's budget is spent,
+    a broad-except firewall whose exception *name* the coordinator
+    classifies.  What is new is survival of the wire (with
+    ``connect``/``disconnect``/``reconnect`` worker events): a
+    connection lost mid-compute does not lose the attempt — the worker
+    finishes, redials with capped deterministic backoff,
+    re-``HELLO``\\ s with its claim, and resends the result (a
+    duplicate is dropped coordinator-side by ``merge_job_results``).
     """
 
     def __init__(self, host: str, port: int, worker_id: str,
@@ -651,15 +600,9 @@ class SocketWorker:
                  backoff_base_s: float = BACKOFF_BASE_S,
                  backoff_cap_s: float = BACKOFF_CAP_S,
                  recv_timeout_s: float = 0.5) -> None:
+        super().__init__(worker_id, cache, events)
         self.host = host
         self.port = port
-        self.worker_id = worker_id
-        self.cache = cache if cache is not None \
-            else ArtifactCache(enabled=False)
-        #: Optional :class:`repro.monitor.events.EventLogWriter`;
-        #: receives ``worker`` lifecycle events, including the socket
-        #: states ``connect``/``disconnect``/``reconnect``.
-        self.events = events
         self.reconnect_limit = max(0, reconnect_limit)
         self.dial_timeout_s = dial_timeout_s
         self.backoff_base_s = backoff_base_s
@@ -774,39 +717,8 @@ class SocketWorker:
                  job: Dict[str, Any]) -> bool:
         """Run one job; returns False when the RESULT could not be
         sent (it is stashed for delivery after the next HELLO)."""
-        label = job.get("label") or job.get("job") or ""
-        self._emit("claim", label)
-        stop = threading.Event()
-        heartbeat = threading.Thread(
-            target=self._heartbeat, args=(sock, lock, job, stop),
-            daemon=True)
-        heartbeat.start()
-        envelope: Dict[str, Any] = {
-            "job": job.get("job"), "ticket": job.get("ticket"),
-            "digest": job.get("digest"), "owner": self.worker_id,
-        }
-        key = job.get("key") or ""
-        started = time.perf_counter()
-        try:
-            rows = self.cache.load(key) if key else None
-            cached = rows is not None
-            if rows is None:
-                rows = resolve_worker(job["worker"])(job["payload"])
-            envelope.update(outcome="ok", rows=rows, cached=cached)
-        except BaseException as exc:  # repro: allow-broad-except -- worker-fleet firewall; the coordinator classifies the failure by exception name
-            envelope.update(outcome="error", type=type(exc).__name__,
-                            message=str(exc))
-        finally:
-            stop.set()
-        envelope["elapsed_ms"] = \
-            (time.perf_counter() - started) * 1000.0
-        if envelope["outcome"] == "ok" and key:
-            # Same key, same bytes as every other topology: this is
-            # what lets a killed campaign resume anywhere.
-            self.cache.store(key, job["worker"], envelope["rows"])
-        heartbeat.join(timeout=1.0)
-        self._emit("done" if envelope["outcome"] == "ok" else "error",
-                   label)
+        envelope = self._run_job(
+            job, lambda _renewal: self._renew(sock, lock, job))
         try:
             self._send(sock, lock, "RESULT", envelope)
         except OSError:
@@ -814,27 +726,16 @@ class SocketWorker:
             return False
         return True
 
-    def _heartbeat(self, sock: socket.socket, lock: threading.Lock,
-                   job: Dict[str, Any], stop: threading.Event) -> None:
-        """Renew the lease until compute finishes — or fall silent.
-
-        The same two deliberate silences as the queue worker: a spent
-        wall-clock budget (so a hang is reclaimed like a death), and a
-        dead connection (the session loop notices on its own)."""
-        lease_s = float(job.get("lease_s") or DEFAULT_LEASE_S)
-        interval = max(0.05, lease_s / 3.0)
-        timeout = job.get("timeout")
-        started = time.perf_counter()
-        while not stop.wait(interval):
-            if timeout is not None and \
-                    time.perf_counter() - started > float(timeout):
-                return
-            try:
-                self._send(sock, lock, "HEARTBEAT",
-                           {"worker": self.worker_id,
-                            "job": job.get("job")})
-            except OSError:
-                return
+    def _renew(self, sock: socket.socket, lock: threading.Lock,
+               job: Dict[str, Any]) -> bool:
+        """One HEARTBEAT frame; False once the connection is dead (the
+        session loop notices on its own)."""
+        try:
+            self._send(sock, lock, "HEARTBEAT",
+                       {"worker": self.worker_id, "job": job.get("job")})
+        except OSError:
+            return False
+        return True
 
     # -- plumbing -----------------------------------------------------
 
@@ -848,12 +749,6 @@ class SocketWorker:
             finally:
                 sock.settimeout(self.recv_timeout_s)
 
-    def _emit(self, state: str, shard: str) -> None:
-        if self.events is None:
-            return
-        self.events.append("worker", ts=int(now_s()), data={
-            "worker": self.worker_id, "state": state, "shard": shard})
-
 
 # ---------------------------------------------------------------------------
 # local fleet helpers (`repro run --transport socket` sits on these)
@@ -865,30 +760,11 @@ def spawn_socket_workers(host: str, port: int, count: int,
                          events_dir: Optional[str] = None,
                          reconnect_limit: int = DEFAULT_RECONNECT_LIMIT
                          ) -> List["subprocess.Popen"]:
-    """Start *count* ``repro worker --connect`` subprocesses.
-
-    The mirror of :func:`~repro.runtime.dist.spawn_local_workers` for
-    fleets without a shared filesystem; wind down with the
-    coordinator's :meth:`SocketTransport.close` stop broadcast and
-    :func:`~repro.runtime.dist.join_workers`.
-    """
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    processes = []
-    for index in range(count):
-        worker_id = f"sock-{index}"
-        command = [sys.executable, "-m", "repro", "worker",
-                   "--connect", f"{host}:{port}", "--id", worker_id,
-                   "--reconnect", str(reconnect_limit)]
-        if not cache_enabled:
-            command.append("--no-cache")
-        elif cache_dir:
-            command.extend(["--cache-dir", cache_dir])
-        if events_dir:
-            command.extend(["--events",
-                            os.path.join(events_dir,
-                                         f"{worker_id}.events.jsonl")])
-        processes.append(subprocess.Popen(command, env=env))
-    return processes
+    """Start *count* ``repro worker --connect`` subprocesses; wind
+    down with the coordinator's :meth:`SocketTransport.close` stop
+    broadcast and :func:`~repro.runtime.dist.join_workers`."""
+    return spawn_workers(["--connect", f"{host}:{port}",
+                          "--reconnect", str(reconnect_limit)],
+                         count, "sock", cache_dir=cache_dir,
+                         cache_enabled=cache_enabled,
+                         events_dir=events_dir)

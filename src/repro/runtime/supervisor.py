@@ -1,12 +1,7 @@
-"""Crash-tolerant supervised shard execution.
+"""Supervised shard execution: the one path every run takes.
 
-:class:`repro.runtime.executor.ShardExecutor` assumes a well-behaved
-substrate: one raised exception inside ``pool.map`` aborts the whole
-run and discards every completed shard, a hung worker hangs the run
-forever, and results only reach the artifact cache after the entire
-pool returns.  Fine for tests; fatal for a four-month campaign.
-
-:class:`SupervisedExecutor` is the drop-in replacement that survives:
+:func:`repro.runtime.run_experiment` always runs its shards through
+:class:`SupervisedExecutor`, whatever the topology:
 
 * **streaming persistence** — shards are dispatched over a
   :class:`~repro.runtime.transport.ShardTransport` and each result is
@@ -14,7 +9,8 @@ pool returns.  Fine for tests; fatal for a four-month campaign.
   moment it arrives, so a run interrupted by anything (SIGKILL
   included) resumes for free from the cache;
 * **per-shard wall-clock timeouts** — a hung worker is killed (pipe
-  pool) or its lease reclaimed (job queue), and the shard retried;
+  pool) or its lease reclaimed (job queue, socket fleet), and the
+  shard retried;
 * **bounded retries with deterministic classification** — a failed
   attempt is classified via :mod:`repro.faults.classify`:
   ``transient`` faults (and worker crashes/hangs) retry with capped
@@ -32,11 +28,15 @@ pool returns.  Fine for tests; fatal for a four-month campaign.
 
 The split with the transport layer: this class owns **policy** (retry
 budgets, backoff, quarantine, cache persistence, the manifest), the
-transport owns **mechanism** (executing attempts and detecting their
-deaths).  By default attempts ride the per-host
-:class:`~repro.runtime.transport.PipePoolTransport`; pass a
-:class:`~repro.runtime.dist.JobQueueTransport` and the identical
-policy supervises a multi-host fleet.
+transport owns **mechanism**.  Every transport computes a shard
+through the one execute step
+(:func:`~repro.runtime.executor.execute_job`) and reports it through
+the one envelope conversion
+(:func:`~repro.runtime.transport.envelope_outcome`); the fleets
+additionally share one heartbeat and one lease-expiry step
+(:mod:`repro.runtime.dist`).  Without an injected transport each run
+gets :func:`~repro.runtime.transport.local_transport`: in-process for
+one worker without a shard timeout, otherwise the pipe pool.
 
 Determinism contract: supervision changes scheduling, never content.
 Workers stay pure functions of their payloads, results are reordered
@@ -55,7 +55,7 @@ from ..faults.classify import FaultClass, classify_exception
 from .cache import ArtifactCache
 from .executor import ShardSpec
 from .result import RunManifest, ShardAttempt, ShardRecord, ShardState
-from .transport import AttemptOutcome, PipePoolTransport, ShardTransport
+from .transport import ShardTransport, local_transport
 
 #: How long one transport poll blocks per supervision tick; bounds
 #: hang-detection latency.
@@ -103,8 +103,7 @@ class _Task:
 class SupervisedExecutor:
     """Run shard specs under supervision: stream results into the
     cache, retry transient failures, survive worker loss, quarantine
-    the rest.  Interface-compatible with
-    :class:`~repro.runtime.executor.ShardExecutor.run`."""
+    the rest."""
 
     def __init__(self, workers: int = 1,
                  cache: Optional[ArtifactCache] = None,
@@ -124,7 +123,8 @@ class SupervisedExecutor:
         self.backoff_cap_s = backoff_cap_s
         self.allow_partial = allow_partial
         #: An injected transport is shared across run() calls and owned
-        #: (closed) by its creator; None means a per-run pipe pool.
+        #: (closed) by its creator; None means a per-run
+        #: :func:`~repro.runtime.transport.local_transport`.
         self.transport = transport
         #: Optional telemetry hook: called with (state, info) at every
         #: dispatch/settle.  Observation only — never content.
@@ -241,8 +241,7 @@ class SupervisedExecutor:
         transport = self.transport
         owns_transport = transport is None
         if transport is None:
-            transport = PipePoolTransport(self.workers,
-                                          self.shard_timeout)
+            transport = local_transport(self.workers, self.shard_timeout)
 
         ready: Deque[_Task] = deque(pending)
         #: Tasks sitting out a backoff window, ordered by eligibility.
@@ -331,7 +330,7 @@ class SupervisedExecutor:
 
                 # One bounded tick: collect whatever completed.  With
                 # nothing in flight this is the backoff-drain idle wait
-                # (both transports block rather than spin).
+                # (every transport blocks rather than spins).
                 for outcome in transport.poll(_TICK_S):
                     task = inflight.pop(outcome.ticket, None)
                     if task is None:
@@ -348,7 +347,3 @@ class SupervisedExecutor:
             if owns_transport:
                 transport.close()
 
-
-#: Re-exported so existing imports keep working; the implementation
-#: moved to :mod:`repro.runtime.transport` with the pipe pool.
-__all__ = ["ShardQuarantinedError", "SupervisedExecutor"]

@@ -6,11 +6,15 @@ and delegates *mechanism* to a :class:`ShardTransport`: something that
 can take dispatched attempts and eventually report, for each, one
 :class:`AttemptOutcome` (``ok`` / ``error`` / ``crash`` / ``hang``).
 
-Three implementations exist:
+Four implementations exist, and every one computes a shard through
+the same :func:`~repro.runtime.executor.execute_job` step and credits
+its result envelope through the same :func:`envelope_outcome`:
 
-* :class:`PipePoolTransport` (here) — the original per-host pool of
-  supervised worker processes talking over pipes, with EOF crash
-  detection, per-shard wall-clock timeouts, and lazy worker spawning;
+* :class:`InProcessTransport` (here) — serial execution in the calling
+  process, the default for one worker without a shard timeout;
+* :class:`PipePoolTransport` (here) — a per-host pool of worker
+  processes talking over pipes, with EOF crash detection, per-shard
+  wall-clock timeouts, and lazy worker spawning;
 * :class:`~repro.runtime.dist.JobQueueTransport` — a filesystem-backed
   job queue where independent ``repro worker`` processes (potentially
   on many hosts sharing the queue and artifact-cache directories)
@@ -32,11 +36,14 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import os
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
-from .executor import resolve_worker
+from .executor import execute_job
 
 #: Outcome tags a transport may report (mirrors ShardAttempt.outcome).
 ATTEMPT_OUTCOMES = ("ok", "error", "crash", "hang")
@@ -92,41 +99,90 @@ class ShardTransport:
         raise NotImplementedError
 
 
-def _worker_loop(conn) -> None:
+def envelope_outcome(envelope: Dict[str, Any]) -> AttemptOutcome:
+    """The :class:`AttemptOutcome` a result envelope reports — the one
+    conversion every transport credits envelopes through."""
+    common = dict(ticket=envelope["ticket"],
+                  elapsed_ms=float(envelope.get("elapsed_ms", 0.0)),
+                  owner=str(envelope.get("owner", "")))
+    if envelope["outcome"] == "ok":
+        return AttemptOutcome(outcome="ok", rows=envelope["rows"], **common)
+    return AttemptOutcome(outcome="error",
+                          type_name=str(envelope.get("type", "")),
+                          message=str(envelope.get("message", "")),
+                          **common)
+
+
+class InProcessTransport(ShardTransport):
+    """Serial execution in the calling process: no fork, no pipes.
+
+    One attempt at a time, run by the :meth:`poll` after its dispatch,
+    so results still stream into the cache shard by shard.  Nothing
+    here can kill a hung attempt: runs with a shard timeout use the
+    pipe pool.
+    """
+
+    OWNER = "inproc"
+
+    def __init__(self) -> None:
+        self._queued: Deque[Dict[str, Any]] = deque()
+        #: Never set: waiting on it is the bounded idle tick of a poll
+        #: with nothing queued (a backoff drain), not a spin.
+        self._idle = threading.Event()
+
+    def slots(self) -> int:
+        return 0 if self._queued else 1
+
+    def dispatch(self, ticket: int, worker: str,
+                 payload: Dict[str, Any], key: str = "",
+                 label: str = "") -> None:
+        self._queued.append({"ticket": ticket, "worker": worker,
+                             "payload": payload})
+
+    def poll(self, timeout_s: float) -> List[AttemptOutcome]:
+        if not self._queued:
+            self._idle.wait(timeout_s)
+            return []
+        envelope = execute_job(self._queued.popleft(), owner=self.OWNER,
+                               isolated=False)
+        return [envelope_outcome(envelope)]
+
+    def close(self) -> None:
+        self._queued.clear()
+
+
+def _worker_loop(conn, parent_ends) -> None:
     """Body of one pooled worker process.
 
-    Receives ``(ticket, worker, payload)`` tasks over *conn*, answers
-    with ``("ok", ticket, rows, ms)`` or ``("error", ticket,
-    type_name, message, ms)``.  Exits on the ``None`` sentinel — or on
-    EOF, which is what a dead parent looks like, so orphaned workers
-    die instead of spinning.
+    Receives job documents over *conn* and answers each with its
+    :func:`~repro.runtime.executor.execute_job` envelope.  Exits on
+    the ``None`` sentinel — or on EOF, which is what a dead parent
+    looks like, so orphaned workers die instead of spinning.  EOF only
+    arrives once no process holds the parent's pipe ends, so the
+    copies a fork inherited (*parent_ends*) are closed first.
     """
+    for end in parent_ends:
+        end.close()
+    owner = f"pool:pid{os.getpid()}"
     while True:
         try:
-            task = conn.recv()
+            job = conn.recv()
         except (EOFError, OSError):
             return
-        if task is None:
+        if job is None:
             return
-        ticket, worker, payload = task
-        started = time.perf_counter()
-        try:
-            rows = resolve_worker(worker)(payload)
-        except BaseException as exc:  # repro: allow-broad-except -- worker-process firewall; the parent classifies the failure by exception name
-            conn.send(("error", ticket, type(exc).__name__, str(exc),
-                       (time.perf_counter() - started) * 1000.0))
-        else:
-            conn.send(("ok", ticket, rows,
-                       (time.perf_counter() - started) * 1000.0))
+        conn.send(execute_job(job, owner=owner))
 
 
 class _Worker:
     """One pooled worker process plus its command pipe."""
 
-    def __init__(self, context) -> None:
+    def __init__(self, context, siblings: List["_Worker"]) -> None:
         self.conn, child_conn = multiprocessing.Pipe()
+        parent_ends = [self.conn] + [w.conn for w in siblings]
         self.process = context.Process(target=_worker_loop,
-                                       args=(child_conn,), daemon=True)
+                                       args=(child_conn, parent_ends),
+                                       daemon=True)
         self.process.start()
         # The parent must not hold the child's pipe end open, or EOF
         # (our crash detector) would never be delivered.
@@ -142,7 +198,8 @@ class _Worker:
                payload: Dict[str, Any]) -> None:
         self.ticket = ticket
         self.started = time.perf_counter()
-        self.conn.send((ticket, worker, payload))
+        self.conn.send({"ticket": ticket, "worker": worker,
+                        "payload": payload})
 
     def shutdown(self) -> None:
         """Best-effort graceful stop, then force-kill."""
@@ -231,16 +288,7 @@ class PipePoolTransport(ShardTransport):
                     elapsed_ms=elapsed, owner=owner))
                 continue
             slot.ticket = None
-            if message[0] == "ok":
-                _tag, _ticket, rows, elapsed_ms = message
-                outcomes.append(AttemptOutcome(
-                    ticket=ticket, outcome="ok", rows=rows,
-                    elapsed_ms=elapsed_ms, owner=owner))
-            else:
-                _tag, _ticket, type_name, text, elapsed_ms = message
-                outcomes.append(AttemptOutcome(
-                    ticket=ticket, outcome="error", type_name=type_name,
-                    message=text, elapsed_ms=elapsed_ms, owner=owner))
+            outcomes.append(envelope_outcome(message))
         if self.shard_timeout is not None:
             now = time.perf_counter()
             for slot in list(self._workers):
@@ -269,10 +317,23 @@ class PipePoolTransport(ShardTransport):
         for slot in self._workers:
             if slot.ticket is None:
                 return slot
-        slot = _Worker(self._context)
+        slot = _Worker(self._context, self._workers)
         self._workers.append(slot)
         return slot
 
     def _replace(self, slot: _Worker) -> None:
         slot.kill()
-        self._workers[self._workers.index(slot)] = _Worker(self._context)
+        siblings = [w for w in self._workers if w is not slot]
+        self._workers[self._workers.index(slot)] = \
+            _Worker(self._context, siblings)
+
+
+def local_transport(workers: int = 1,
+                    shard_timeout: Optional[float] = None
+                    ) -> ShardTransport:
+    """The single-host transport for a run: in-process for one worker
+    without a shard timeout (nothing to fork, nothing to kill), else
+    the pipe pool."""
+    if workers <= 1 and shard_timeout is None:
+        return InProcessTransport()
+    return PipePoolTransport(workers, shard_timeout)

@@ -31,13 +31,13 @@ from repro.runtime import (
     CorpusRunConfig,
     JobQueueTransport,
     QueueWorker,
-    ShardExecutor,
     SupervisedExecutor,
     job_document,
     merge_job_results,
     queue_shards,
     run_experiment,
     spawn_local_workers,
+    resolve_worker,
     stop_workers,
 )
 from repro.runtime.chaos import chaos_wrap
@@ -45,8 +45,11 @@ from repro.runtime.dist import (
     DEFAULT_LEASE_S,
     QueuePaths,
     _write_atomic,
+    classify_lease,
+    heartbeat,
     job_name,
     join_workers,
+    lease_document,
     now_s,
 )
 from repro.runtime.sharding import corpus_shards
@@ -70,9 +73,8 @@ def output_bytes(outputs) -> str:
 
 @pytest.fixture
 def baseline():
-    executor = ShardExecutor(workers=1, cache=ArtifactCache(enabled=False))
-    outputs, _records = executor.run(plain_specs())
-    return output_bytes(outputs)
+    return output_bytes([resolve_worker(spec.worker)(spec.payload)
+                         for spec in plain_specs()])
 
 
 def make_transport(tmp_path, **kwargs):
@@ -159,6 +161,49 @@ class TestProtocolFunctions:
         # ok sorts before error; owner breaks the ok-vs-ok tie.
         assert merge_job_results([error, ok_b, ok_a], expected) == [ok_a]
         assert merge_job_results([ok_a, error, ok_b], expected) == [ok_a]
+
+
+class TestLeaseStep:
+    """The pure lease-expiry step both fleets reclaim through."""
+
+    JOB = job_document(3, "m:f", {"x": 1}, timeout=1.0)
+
+    def test_live_lease_owes_nothing(self):
+        lease = lease_document("j", "w", 10.0, 10.0, 0.5)
+        assert classify_lease(self.JOB, lease, 10.25) is None
+
+    def test_expiry_under_budget_is_a_crash(self):
+        lease = lease_document("j", "w", 10.0, 10.0, 0.5)
+        outcome = classify_lease(self.JOB, lease, 10.5)
+        assert (outcome.ticket, outcome.outcome, outcome.owner) \
+            == (3, "crash", "w")
+        assert outcome.message == "lease expired (owner w) after 0.50s"
+        assert outcome.elapsed_ms == pytest.approx(500.0)
+
+    def test_expiry_at_or_after_budget_is_a_hang(self):
+        lease = lease_document("j", "w", 10.0, 10.5, 0.5)
+        assert classify_lease(self.JOB, lease, 11.0).outcome == "hang"
+        assert classify_lease(self.JOB, lease, 12.0).outcome == "hang"
+        unbounded = job_document(3, "m:f", {"x": 1})
+        assert classify_lease(unbounded, lease, 12.0).outcome == "crash"
+
+    def test_unleased_claim_holds_an_ownerless_grace_lease(self):
+        grace = lease_document("j", "", 10.0, 10.0, 2.0)
+        job = job_document(3, "m:f", {"x": 1})
+        assert classify_lease(job, grace, 11.9) is None
+        outcome = classify_lease(job, grace, 12.0)
+        assert (outcome.outcome, outcome.owner) == ("crash", "")
+        assert "never leased" in outcome.message
+
+    def test_renewals_extend_the_deadline(self):
+        first = lease_document("j", "w", 10.0, 10.0, 0.5)
+        renewed = lease_document("j", "w", 10.0, 10.4, 0.5, renewals=1)
+        assert classify_lease(self.JOB, first, 10.6) is not None
+        assert classify_lease(self.JOB, renewed, 10.6) is None
+        assert renewed["claimed_at"] == first["claimed_at"]
+        # The claim's age, not the renewal's, decides crash vs hang.
+        assert classify_lease(self.JOB, renewed, 10.9).elapsed_ms \
+            == pytest.approx(900.0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +328,11 @@ class TestLeases:
         corpus_job(transport)
         job = worker.claim_next()
         stop = threading.Event()
-        thread = threading.Thread(target=worker._heartbeat,
-                                  args=(job, now_s(), stop), daemon=True)
+        claimed_at = now_s()
+        thread = threading.Thread(
+            target=heartbeat,
+            args=(job, lambda n: worker._renew(job, claimed_at, n), stop),
+            daemon=True)
         thread.start()
         interval = max(0.05, LEASE_S / 3.0)
         time.sleep(2 * interval)  # let at least one renewal land
@@ -379,7 +427,7 @@ class TestEndToEndFleet:
         serial = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                                 cache=False)
         pipe = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
-                              workers=3, supervise=True,
+                              workers=3,
                               cache_dir=str(tmp_path / "pipe-cache"))
         queue = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                                workers=3, transport="jobqueue",

@@ -23,8 +23,8 @@ from repro.runtime import (
     ArtifactCache,
     CorpusRunConfig,
     ScanCampaignConfig,
-    ShardExecutor,
     ShardSpec,
+    SupervisedExecutor,
     default_config,
     run_experiment,
     shard_key,
@@ -149,7 +149,7 @@ class TestArtifactCache:
 
     def test_executor_runs_uncached_specs(self, tmp_path):
         cache = ArtifactCache(root=str(tmp_path))
-        executor = ShardExecutor(workers=1, cache=cache)
+        executor = SupervisedExecutor(workers=1, cache=cache)
         specs = [ShardSpec(
             worker="repro.runtime.runners:corpus_shard",
             payload={"corpus": CorpusConfig(size=4, seed=1).to_dict(),

@@ -248,22 +248,10 @@ class TestSignQueue:
 
 
 # ---------------------------------------------------------------------------
-# the deprecated HTTP-shaped core entrypoint
+# the DER core refuses HTTP-shaped arguments
 # ---------------------------------------------------------------------------
 
 class TestRespondShim:
-
-    def test_respond_warns_once_then_delegates(self, responder, cert_id, now):
-        OCSPResponder._respond_warned = False
-        request = _request(cert_id)
-        with pytest.warns(DeprecationWarning, match="handle"):
-            via_shim = responder.respond(request, now)
-        assert via_shim.body == ocsp_http_exchange(responder, request, now).body
-        # The latch: the second call is silent.
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            responder.respond(request, now)
 
     def test_handle_rejects_http_shaped_arguments(self, responder, cert_id,
                                                   now):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import socket
+import subprocess
 import threading
 import time
 
@@ -33,12 +34,14 @@ from repro.runtime import (
     ArtifactCache,
     CorpusRunConfig,
     FrameBuffer,
-    ShardExecutor,
+    QueueWorker,
     SocketTransport,
     SocketWorker,
     SupervisedExecutor,
     connect_backoff,
+    job_document,
     parse_address,
+    resolve_worker,
     run_experiment,
     spawn_socket_workers,
 )
@@ -88,9 +91,8 @@ def output_bytes(outputs) -> str:
 
 @pytest.fixture
 def baseline():
-    executor = ShardExecutor(workers=1, cache=ArtifactCache(enabled=False))
-    outputs, _records = executor.run(plain_specs())
-    return output_bytes(outputs)
+    return output_bytes([resolve_worker(spec.worker)(spec.payload)
+                         for spec in plain_specs()])
 
 
 def make_transport(**kwargs):
@@ -660,6 +662,66 @@ class TestSupervisedSocket:
 
 
 # ---------------------------------------------------------------------------
+# the worker loop and fleet lifecycle both fleets share
+# ---------------------------------------------------------------------------
+
+class TestSharedFleetMachinery:
+    @pytest.mark.parametrize("worker", ["good", "no.such.module:worker"])
+    def test_queue_and_socket_workers_send_identical_envelopes(
+            self, tmp_path, worker):
+        """One execute step: the same job yields the same envelope
+        whether it was claimed from a directory or sent as a frame."""
+        spec = plain_specs()[0]
+        ref = spec.worker if worker == "good" else worker
+        job = job_document(0, ref, spec.payload, spec.key(), spec.label)
+        queued = QueueWorker(str(tmp_path / "queue"), "same",
+                             cache=ArtifactCache(enabled=False)).execute(job)
+        coordinator_end, worker_end = socket.socketpair()
+        try:
+            sock_worker = SocketWorker("127.0.0.1", 0, "same",
+                                       cache=ArtifactCache(enabled=False))
+            assert sock_worker._execute(worker_end, threading.Lock(), job)
+            coordinator_end.settimeout(5.0)
+            buffer, frames = FrameBuffer(), []
+            while not frames:
+                frames = buffer.feed(coordinator_end.recv(65536))
+        finally:
+            coordinator_end.close()
+            worker_end.close()
+        (kind, sent), = frames
+        assert kind == "RESULT"
+        for envelope in (queued, sent):
+            assert envelope.pop("elapsed_ms") >= 0.0
+        assert sent == queued
+        assert sent["outcome"] == ("ok" if worker == "good" else "error")
+
+    @pytest.mark.parametrize("transport", ["jobqueue", "socket"])
+    def test_all_cached_fleet_run_starts_no_workers(self, tmp_path,
+                                                    monkeypatch, transport):
+        """The owned fleet starts on the first dispatch, so a run served
+        entirely from cache never spawns (or waits on) a worker."""
+        cache_dir = str(tmp_path / "cache")
+        cold = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
+                              cache_dir=cache_dir)
+        started = []
+        real_popen = subprocess.Popen
+
+        def counting_popen(*args, **kwargs):
+            started.append(args)
+            return real_popen(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", counting_popen)
+        warm = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
+                              workers=2, transport=transport,
+                              queue_dir=str(tmp_path / "queue"),
+                              cache_dir=cache_dir)
+        assert started == []
+        assert warm.cache_status == "hit"
+        assert warm.manifest.cached == len(warm.manifest.shards) == 6
+        assert result_doc(warm) == result_doc(cold)
+
+
+# ---------------------------------------------------------------------------
 # end-to-end: real `repro worker --connect` subprocesses
 # ---------------------------------------------------------------------------
 
@@ -675,7 +737,7 @@ class TestEndToEndSocketFleet:
         serial = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                                 cache=False)
         pipe = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
-                              workers=3, supervise=True,
+                              workers=3,
                               cache_dir=str(tmp_path / "pipe-cache"))
         queue = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                                workers=3, transport="jobqueue",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -19,8 +20,8 @@ from repro.faults import FaultClass, classify_exception
 from repro.runtime import (
     ArtifactCache,
     CorpusRunConfig,
+    PipePoolTransport,
     RunManifest,
-    ShardExecutor,
     ShardQuarantinedError,
     ShardSpec,
     SupervisedExecutor,
@@ -41,10 +42,9 @@ def plain_specs():
 
 
 def serial_outputs(specs):
-    """The undisturbed serial baseline (no cache, no supervision)."""
-    executor = ShardExecutor(workers=1, cache=ArtifactCache(enabled=False))
-    outputs, _records = executor.run(specs)
-    return outputs
+    """The undisturbed serial baseline: direct calls, no cache, no
+    supervisor."""
+    return [resolve_worker(spec.worker)(spec.payload) for spec in specs]
 
 
 def output_bytes(outputs) -> str:
@@ -142,6 +142,32 @@ class TestChaosRecovery:
         # The corrupted entry is quarantined, and a fresh one stored.
         assert os.listdir(os.path.join(cache.root, "corrupt"))
         assert cache.load(key5) is not None
+
+
+class TestPipePool:
+    def test_workers_exit_once_the_coordinator_is_gone(self):
+        """A pool worker must read EOF when its coordinator dies, so no
+        worker may hold a coordinator-side pipe end open — neither its
+        own nor one inherited from a sibling forked before it."""
+        transport = PipePoolTransport(workers=3)
+        for ticket, spec in enumerate(plain_specs()[:3]):
+            transport.dispatch(ticket, spec.worker, spec.payload)
+        processes = [worker.process for worker in transport._workers]
+        try:
+            outcomes, deadline = [], time.perf_counter() + 60.0
+            while len(outcomes) < 3 and time.perf_counter() < deadline:
+                outcomes.extend(transport.poll(0.5))
+            assert [o.outcome for o in outcomes] == ["ok"] * 3
+            for worker in transport._workers:
+                worker.conn.close()   # all a dead coordinator leaves
+            for process in processes:
+                process.join(timeout=5.0)
+            assert not any(process.is_alive() for process in processes)
+        finally:
+            for process in processes:
+                if process.is_alive():
+                    process.kill()
+                    process.join(timeout=5.0)
 
 
 class TestQuarantine:
@@ -273,6 +299,16 @@ class TestCacheIntegrity:
             stream.write(raw.replace('{"b": 2}', '{"b": 9}'))
         assert cache.load(key) is None
 
+    def test_second_store_leaves_the_entry_untouched(self, tmp_path):
+        """Keys are content addresses: storing an existing key again
+        (worker and coordinator sharing one directory) writes nothing."""
+        cache, key = self.store_one(tmp_path)
+        before = os.stat(cache._path(key))
+        cache.store(key, "m:f", [{"a": 1}, {"b": 2}, {"c": 3}])
+        after = os.stat(cache._path(key))
+        assert (after.st_ino, after.st_mtime_ns) \
+            == (before.st_ino, before.st_mtime_ns)
+
     def test_missing_file_is_plain_miss(self, tmp_path):
         cache = ArtifactCache(root=str(tmp_path / "c"))
         assert cache.load(shard_key("m:f", {"y": 2})) is None
@@ -387,8 +423,7 @@ class TestResolveWorker:
 class TestRunExperimentSupervised:
     def test_supervised_result_carries_manifest(self, tmp_path):
         result = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
-                                workers=2, cache_dir=str(tmp_path),
-                                supervise=True)
+                                workers=2, cache_dir=str(tmp_path))
         manifest = result.manifest
         assert isinstance(manifest, RunManifest)
         assert manifest.experiment_id == "sec4-deployment"
@@ -399,18 +434,23 @@ class TestRunExperimentSupervised:
         json.dumps(document)  # JSON-safe
 
     def test_supervised_equals_unsupervised(self, tmp_path):
+        """In-process (one worker, no cache) and a 3-worker pipe pool
+        merge to the same result."""
         plain = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                                cache=False)
         supervised_result = run_experiment(
             "sec4-deployment", config=CORPUS_CONFIG, workers=3,
-            cache_dir=str(tmp_path), supervise=True)
+            cache_dir=str(tmp_path))
         assert supervised_result.rows == plain.rows
         assert supervised_result.summary == plain.summary
 
-    def test_unsupervised_result_has_no_manifest(self):
+    def test_every_result_carries_a_manifest(self):
+        """Every run is supervised, so even a one-worker, cache-off run
+        reports what each shard went through."""
         result = run_experiment("tbl2", cache=False)
-        assert result.manifest is None
-        assert "manifest" not in result.to_dict()
+        assert isinstance(result.manifest, RunManifest)
+        assert result.manifest.computed == len(result.manifest.shards) == 1
+        assert result.to_dict()["manifest"]["complete"] is True
 
     def test_chaos_fig3_supervised_matches_serial(self, tmp_path):
         """The acceptance scenario on a real scan campaign: inject a
@@ -428,9 +468,7 @@ class TestRunExperimentSupervised:
             interval=12 * 3600, start=1518048000,
             end=1518048000 + 2 * 86400, target_chunks=4)
         specs = scan_shards(campaign)
-        serial = merge_scan_rows(
-            campaign, ShardExecutor(cache=ArtifactCache(enabled=False))
-            .run(specs)[0])
+        serial = merge_scan_rows(campaign, serial_outputs(specs))
 
         chaotic = list(specs)
         chaotic[1] = chaos_wrap(specs[1], "crash", 1,
@@ -473,8 +511,8 @@ class TestCacheCLI:
         assert "removed 1" in capsys.readouterr().out
 
     def test_run_supervise_flag(self, tmp_path, capsys):
+        """Every run is supervised: a plain run prints its manifest."""
         from repro.cli import main
-        assert main(["run", "tbl2", "--supervise",
-                     "--cache-dir", str(tmp_path)]) == 0
+        assert main(["run", "tbl2", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "manifest: 0 cached, 1 computed" in out

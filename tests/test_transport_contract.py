@@ -1,10 +1,11 @@
-"""Transport conformance suite: one contract, three mechanisms.
+"""Transport conformance suite: one contract, four mechanisms.
 
 :class:`~repro.runtime.transport.ShardTransport` is the seam that
 keeps every topology byte-identical — the supervisor owns policy, the
 transport moves attempts.  This suite drives the *same* obligations
-through all three implementations (pipe pool, filesystem job queue,
-TCP socket fleet), each behind the worker harness it needs:
+through all four implementations (pipe pool, filesystem job queue,
+TCP socket fleet, in-process), each behind the worker harness it
+needs:
 
 * ``slots()`` is positive on a fresh transport;
 * every dispatched ticket is owed exactly one outcome, tagged with a
@@ -41,14 +42,14 @@ from repro.runtime import (
 )
 from repro.runtime.dist import stop_workers
 from repro.runtime.sharding import corpus_shards
-from repro.runtime.transport import ATTEMPT_OUTCOMES
+from repro.runtime.transport import ATTEMPT_OUTCOMES, InProcessTransport
 
 #: 4 shards of 8 corpus records: enough to see ordering, fast to run.
 CORPUS_CONFIG = CorpusRunConfig(corpus=CorpusConfig(size=32, seed=13),
                                 shards=4)
 POLL_S = 0.02
 
-TRANSPORTS = ("pipe", "jobqueue", "socket")
+TRANSPORTS = ("pipe", "jobqueue", "socket", "inprocess")
 
 
 def specs():
@@ -84,6 +85,8 @@ class Harness:
                     backoff_cap_s=0.1)
                 self._workers.append(worker)
                 self._start(worker.run)
+        elif kind == "inprocess":
+            self.transport = InProcessTransport()
         else:
             raise ValueError(kind)
 

@@ -13,7 +13,7 @@ must not bear a single byte of evidence that anything happened.
 
 Steps:
 
-1. start ``repro run fig3 --workers 4 --supervise`` against a fresh
+1. start ``repro run fig3 --workers 4`` against a fresh
    cache directory;
 2. wait until at least one shard has been persisted, then SIGKILL the
    process;
@@ -53,7 +53,7 @@ def _env() -> dict:
 
 def _run_cmd(cache_dir: str) -> list:
     return [sys.executable, "-m", "repro", "run", "fig3",
-            "--workers", "4", "--supervise", "--cache-dir", cache_dir,
+            "--workers", "4", "--cache-dir", cache_dir,
             "--json"]
 
 
