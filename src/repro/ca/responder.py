@@ -46,6 +46,9 @@ _JAVASCRIPT_BODY = (
     b"</script></head><body>Please enable JavaScript.</body></html>"
 )
 
+#: Distinct request DERs one responder keeps parsed.
+_REQUEST_CACHE_CAP = 64
+
 
 class OCSPResponder:
     """Serves OCSP responses for a CA according to a behaviour profile."""
@@ -65,6 +68,9 @@ class OCSPResponder:
         # pre-generating responder *serves the same bytes* all epoch)
         # and what makes replaying four months of scans fast.
         self._response_cache: dict = {}
+        # Parsed requests by their DER: scanners re-send identical
+        # request bytes every probe, so each distinct one parses once.
+        self._request_cache: dict = {}
 
         self._signer_key: RSAPrivateKey = authority.key
         self._signer_cert: Optional[Certificate] = None
@@ -105,15 +111,34 @@ class OCSPResponder:
                 "OCSPResponder.handle(request_der, now) takes DER request "
                 "bytes; wrap HTTP traffic with "
                 "repro.simnet.ocsp_service(responder)")
-        try:
-            ocsp_request = OCSPRequest.from_der(bytes(request_der))
-        except (ASN1Error, ValueError):
+        ocsp_request = self._parse_request(bytes(request_der))
+        if ocsp_request is None:
             return self._error_artifact(ResponseStatus.MALFORMED_REQUEST)
 
         if self.profile.always_try_later:
             return self._error_artifact(ResponseStatus.TRY_LATER)
 
         return self._build_response(ocsp_request, now)
+
+    def _parse_request(self, request_der: bytes) -> Optional[OCSPRequest]:
+        """The parsed request, or None when the DER is malformed.
+
+        Malformed requests and requests carrying a nonce (single-use,
+        so their bytes never repeat) are not cached; the oldest of at
+        most 64 cached parses is dropped first.
+        """
+        cached = self._request_cache.get(request_der)
+        if cached is not None:
+            return cached
+        try:
+            ocsp_request = OCSPRequest.from_der(request_der)
+        except (ASN1Error, ValueError):
+            return None
+        if ocsp_request.nonce is None:
+            if len(self._request_cache) >= _REQUEST_CACHE_CAP:
+                self._request_cache.pop(next(iter(self._request_cache)))
+            self._request_cache[request_der] = ocsp_request
+        return ocsp_request
 
     @staticmethod
     def _error_artifact(status: ResponseStatus) -> ResponseArtifact:

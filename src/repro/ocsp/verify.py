@@ -20,9 +20,9 @@ Authority Delegation).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional
 
 from ..asn1 import Reader
 from ..asn1.errors import ASN1Error
@@ -86,6 +86,16 @@ class OCSPCheckResult:
         return self.cert_status is CertStatus.GOOD
 
 
+#: Structural verdicts of recently verified responses, keyed by
+#: ``(response bytes, lenient, cert_id, issuer DER)``.  A responder
+#: serves the same pre-signed bytes to every vantage point for a whole
+#: update epoch, so a scan re-verifies identical inputs many times.
+#: Entries are evicted oldest first; 64 keeps a cold Figure 3 campaign
+#: within one parse of its distinct responses.
+_VERDICTS: Dict[tuple, OCSPCheckResult] = {}
+_VERDICT_CAP = 64
+
+
 def verify_response(response_der: bytes, cert_id: CertID, issuer: Certificate,
                     now: int, max_clock_skew: int = 0,
                     lenient: bool = False,
@@ -103,9 +113,57 @@ def verify_response(response_der: bytes, cert_id: CertID, issuer: Certificate,
     :mod:`repro.core.attacks` — note that *stapled* responses cannot
     use nonces, which is exactly why their validity period bounds the
     replay window.
+
+    The structural verdict (parse, status, CertID match, signature) is
+    a pure function of the bytes, *lenient*, *cert_id* and the issuer,
+    so it is computed once per distinct input (see :data:`_VERDICTS`);
+    the nonce and time checks run on every call, and every call gets
+    its own result object.  Results for the same input share the
+    parsed ``response`` and ``single``, which callers must not mutate.
     """
+    data = bytes(response_der)
+    key = (data, lenient, cert_id, issuer.der)
+    verdict = _VERDICTS.get(key)
+    if verdict is None:
+        verdict = _structural_verdict(data, cert_id, issuer, lenient)
+        _remember(key, verdict)
+    if not verdict.ok:
+        return replace(verdict)
+
+    single = verdict.single
+    if expected_nonce is not None and \
+            verdict.response.basic.nonce != expected_nonce:
+        error = OCSPError.NONCE_MISMATCH
+    elif single.this_update > now + max_clock_skew:
+        error = OCSPError.NOT_YET_VALID
+    elif single.next_update is not None and \
+            single.next_update < now - max_clock_skew:
+        error = OCSPError.EXPIRED
+    else:
+        return replace(verdict)
+    return OCSPCheckResult(
+        ok=False,
+        error=error,
+        response=verdict.response,
+        single=single,
+        response_status=verdict.response_status,
+        delegated=verdict.delegated,
+    )
+
+
+def _remember(key: tuple, verdict: OCSPCheckResult) -> None:  # repro: allow-effect[GLOBAL_MUTATION] -- bounded memo of a pure function of its key; a hit returns a copy of the verdict a recomputation would give
+    if len(_VERDICTS) >= _VERDICT_CAP:
+        _VERDICTS.pop(next(iter(_VERDICTS)))
+    _VERDICTS[key] = verdict
+
+
+def _structural_verdict(data: bytes, cert_id: CertID, issuer: Certificate,
+                        lenient: bool) -> OCSPCheckResult:
+    """Everything in verification that does not depend on the clock or
+    the nonce: a failed result, or ``ok`` with the matched single
+    response and its status."""
     try:
-        response = OCSPResponse.from_der(response_der, lenient=lenient)
+        response = OCSPResponse.from_der(data, lenient=lenient)
     except (ASN1Error, ValueError) as exc:
         return OCSPCheckResult(
             ok=False,
@@ -134,9 +192,7 @@ def verify_response(response_der: bytes, cert_id: CertID, issuer: Certificate,
         )
 
     delegated = False
-    if basic.verify_signature(issuer.public_key):
-        pass
-    else:
+    if not basic.verify_signature(issuer.public_key):
         delegate = _find_delegate(basic, issuer)
         if delegate is not None and basic.verify_signature(delegate.public_key):
             delegated = True
@@ -148,35 +204,6 @@ def verify_response(response_der: bytes, cert_id: CertID, issuer: Certificate,
                 single=single,
                 response_status=response.response_status,
             )
-
-    if expected_nonce is not None and basic.nonce != expected_nonce:
-        return OCSPCheckResult(
-            ok=False,
-            error=OCSPError.NONCE_MISMATCH,
-            response=response,
-            single=single,
-            response_status=response.response_status,
-            delegated=delegated,
-        )
-
-    if single.this_update > now + max_clock_skew:
-        return OCSPCheckResult(
-            ok=False,
-            error=OCSPError.NOT_YET_VALID,
-            response=response,
-            single=single,
-            response_status=response.response_status,
-            delegated=delegated,
-        )
-    if single.next_update is not None and single.next_update < now - max_clock_skew:
-        return OCSPCheckResult(
-            ok=False,
-            error=OCSPError.EXPIRED,
-            response=response,
-            single=single,
-            response_status=response.response_status,
-            delegated=delegated,
-        )
 
     return OCSPCheckResult(
         ok=True,

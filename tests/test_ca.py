@@ -417,6 +417,45 @@ class TestPregeneration:
         assert profile.validity_period == profile.update_interval == 7200
 
 
+class TestRequestMemo:
+    """``handle`` parses each distinct request DER once per responder."""
+
+    def test_repeated_handle_matches_fresh_responder(self, authority, leaf):
+        responder = make_responder(authority,
+                                   ResponderProfile(update_interval=HOUR))
+        cert_id = CertID.for_certificate(leaf, authority.certificate)
+        requests = [OCSPRequest.for_single(cert_id).encode(),
+                    OCSPRequest.for_single(cert_id, nonce=b"\x07" * 8).encode()]
+        for now in (NOW, NOW + 10, NOW + 2 * HOUR):
+            for request in requests * 2:
+                fresh = make_responder(authority,
+                                       ResponderProfile(update_interval=HOUR))
+                assert responder.handle(request, now).body == \
+                    fresh.handle(request, now).body
+        # Only the nonce-free request is kept: nonces are single-use.
+        assert list(responder._request_cache) == requests[:1]
+
+    def test_malformed_request_never_cached(self, authority):
+        responder = make_responder(authority)
+        for _ in range(3):
+            body = responder.handle(b"garbage", NOW).body
+            assert OCSPResponse.from_der(body).response_status is \
+                ResponseStatus.MALFORMED_REQUEST
+        assert responder._request_cache == {}
+
+    def test_bounded(self, authority, leaf):
+        responder = make_responder(authority)
+        cert_id = CertID.for_certificate(leaf, authority.certificate)
+        for serial in range(70):
+            other = CertID(cert_id.hash_name, cert_id.issuer_name_hash,
+                           cert_id.issuer_key_hash, serial)
+            request = OCSPRequest.for_single(other).encode()
+            assert verify_response(responder.handle(request, NOW).body,
+                                   other, authority.certificate, NOW).ok
+            assert len(responder._request_cache) <= 64
+        assert len(responder._request_cache) == 64
+
+
 class TestCRLService:
     def test_serves_signed_crl(self, authority, leaf):
         from repro.ca import CRLService

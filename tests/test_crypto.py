@@ -1,8 +1,11 @@
 """Unit tests for the crypto substrate: primes, RSA, PKCS#1, SPKI."""
 
+import hashlib
 import random
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import (
     KeyPool,
@@ -50,6 +53,97 @@ class TestPrimes:
 
     def test_deterministic_given_seed(self):
         assert generate_prime(128, random.Random(42)) == generate_prime(128, random.Random(42))
+
+
+_REFERENCE_SMALL_PRIMES = [
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
+    149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
+    227, 229, 233, 239, 241, 251,
+]
+
+
+def _reference_is_probable_prime(candidate: int,
+                                 rng: Optional[random.Random] = None,
+                                 rounds: int = 24) -> bool:
+    """Plain trial division + Miller-Rabin, as it was before the
+    small-modulus pre-check: the oracle the fast path must match."""
+    if candidate < 2:
+        return False
+    for prime in _REFERENCE_SMALL_PRIMES:
+        if candidate == prime:
+            return True
+        if candidate % prime == 0:
+            return False
+    rng = rng or random.Random(candidate)
+    # Write candidate - 1 as d * 2^r with d odd.
+    d = candidate - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        witness = rng.randrange(2, candidate - 1)
+        x = pow(witness, d, candidate)
+        if x in (1, candidate - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, candidate)
+            if x == candidate - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_SIEVE_PRIMES = [p for p in range(257, 4096)
+                 if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+#: Carmichael numbers: Fermat liars for every coprime witness.  The
+#: first three fall to trial division; the Chernick ones
+#: (6k+1)(12k+1)(18k+1) have every factor in 257..4095, so every
+#: round passes the small-modulus check and Miller-Rabin decides.
+_CARMICHAEL = [561, 41041, 825265, 118901521, 172947529, 216821881,
+               228842209, 1299963601, 2301745249, 9624742921]
+
+_CANDIDATES = st.one_of(
+    st.integers(min_value=-3, max_value=251),
+    st.sampled_from(_SIEVE_PRIMES),
+    st.builds(lambda p, k: p * k, st.sampled_from(_SIEVE_PRIMES),
+              st.integers(min_value=2, max_value=2 ** 240)),
+    st.sampled_from(_CARMICHAEL),
+    st.integers(min_value=2 ** 255, max_value=2 ** 256 - 1).map(
+        lambda n: n | 1),
+)
+
+
+class TestPrimeSieveExactness:
+    """The pre-checked Miller-Rabin gives the same verdict after the
+    same draws from the caller's RNG, so every generated key is
+    unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate=_CANDIDATES, seed=st.integers(0, 2 ** 32))
+    def test_matches_reference_verdict_and_draws(self, candidate, seed):
+        fast_rng, reference_rng = random.Random(seed), random.Random(seed)
+        assert is_probable_prime(candidate, fast_rng) == \
+            _reference_is_probable_prime(candidate, reference_rng)
+        assert fast_rng.getstate() == reference_rng.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(candidate=_CANDIDATES)
+    def test_matches_reference_with_default_rng(self, candidate):
+        assert is_probable_prime(candidate) == \
+            _reference_is_probable_prime(candidate)
+
+    @pytest.mark.parametrize("candidate", _CARMICHAEL)
+    def test_carmichael_numbers_rejected(self, candidate):
+        assert not is_probable_prime(candidate, random.Random(0))
+
+    def test_every_small_answer_unchanged(self):
+        for candidate in range(-3, 4096 * 2):
+            assert is_probable_prime(candidate, random.Random(1)) == \
+                _reference_is_probable_prime(candidate, random.Random(1))
 
 
 class TestKeygen:
@@ -185,3 +279,15 @@ class TestKeyPool:
 
     def test_deterministic_across_instances(self):
         assert KeyPool(size=2, seed=5).take().n == KeyPool(size=2, seed=5).take().n
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "f3e97c2a03f15984edd7b8bcde23567f5c4f766b3a76d223c57d2b8fd6a94ab7"),
+        (11, "c6cc02d2babb13a580d6f60e83fdde8b4872aaaef89afc9593448890baaf444c"),
+        (2018, "16280119d8453627a21cf987c2385d7ee6e496ce7a4bc6cf0fd90afb1f1f29ab"),
+    ])
+    def test_moduli_frozen(self, seed, digest):
+        """Key material is part of every recorded output: the moduli a
+        seeded pool generates must never change."""
+        pool = KeyPool(size=4, bits=512, seed=seed)
+        moduli = b"".join(pool.take().n.to_bytes(64, "big") for _ in range(4))
+        assert hashlib.sha256(moduli).hexdigest() == digest

@@ -1,11 +1,14 @@
 """Unit tests for OCSP requests, responses, and client verification."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto import generate_keypair
 from repro.ocsp import (
     CertID,
     CertStatus,
+    OCSPCheckResult,
     OCSPError,
     OCSPRequest,
     OCSPResponse,
@@ -16,6 +19,7 @@ from repro.ocsp import (
     encode_response,
     verify_response,
 )
+from repro.ocsp import verify as verify_module
 from repro.simnet import DAY, HOUR, WEEK
 from repro.x509 import CertificateBuilder, Name, self_signed
 
@@ -289,3 +293,127 @@ class TestVerification:
         der = encode_response([single], NOW, ca_key, ca.key_hash_sha1())
         result = verify_response(der, cert_id, ca, NOW)
         assert result.revoked and not result.good and bool(result)
+
+
+class TestVerifyMemo:
+    """``verify_response`` computes the structural verdict once per
+    distinct (bytes, lenient, CertID, issuer); the nonce and time
+    checks still run on every call, and every call gets its own
+    result object."""
+
+    @pytest.fixture(autouse=True)
+    def memo(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(verify_module, "_VERDICTS", memo)
+        return memo
+
+    def test_time_checks_run_on_every_hit(self, setup, memo):
+        _, ca, _, cert_id = setup
+        der = good_response(setup)  # valid NOW - HOUR .. NOW + WEEK
+        assert verify_response(der, cert_id, ca, NOW).ok
+        assert verify_response(der, cert_id, ca, NOW + 2 * WEEK).error is \
+            OCSPError.EXPIRED
+        assert verify_response(der, cert_id, ca, NOW - DAY).error is \
+            OCSPError.NOT_YET_VALID
+        assert len(memo) == 1
+
+    def test_nonce_check_runs_on_every_hit(self, setup, memo):
+        _, ca, _, cert_id = setup
+        der = good_response(setup, nonce=b"\x01" * 8)
+        assert verify_response(der, cert_id, ca, NOW).ok
+        assert verify_response(der, cert_id, ca, NOW,
+                               expected_nonce=b"\x02" * 8).error is \
+            OCSPError.NONCE_MISMATCH
+        assert verify_response(der, cert_id, ca, NOW,
+                               expected_nonce=b"\x01" * 8).ok
+        assert len(memo) == 1
+
+    def test_lenient_is_part_of_the_key(self, setup, memo):
+        _, ca, _, cert_id = setup
+        der = good_response(setup)
+        strict = verify_response(der, cert_id, ca, NOW)
+        lenient = verify_response(der, cert_id, ca, NOW, lenient=True)
+        assert strict == lenient and len(memo) == 2
+
+    def test_cert_id_and_issuer_are_part_of_the_key(self, setup, memo):
+        ca_key, ca, _, cert_id = setup
+        der = good_response(setup)
+        other_ca = self_signed(Name.build("Other CA", "T"),
+                               generate_keypair(512, rng=88), 1,
+                               NOW - DAY, NOW + 3650 * DAY)
+        wrong_id = CertID(cert_id.hash_name, cert_id.issuer_name_hash,
+                          cert_id.issuer_key_hash, 1)
+        assert verify_response(der, cert_id, ca, NOW).ok
+        assert verify_response(der, wrong_id, ca, NOW).error is \
+            OCSPError.SERIAL_MISMATCH
+        assert verify_response(der, cert_id, other_ca, NOW).error is \
+            OCSPError.BAD_SIGNATURE
+        assert len(memo) == 3
+
+    def test_buffer_types_share_one_entry(self, setup, memo):
+        _, ca, _, cert_id = setup
+        der = good_response(setup)
+        results = [verify_response(view, cert_id, ca, NOW)
+                   for view in (der, bytearray(der), memoryview(der))]
+        assert all(result.ok for result in results)
+        assert results[0] == results[1] == results[2]
+        assert len(memo) == 1
+
+    def test_bounded(self, setup, memo):
+        _, ca, _, cert_id = setup
+        for index in range(verify_module._VERDICT_CAP + 6):
+            assert verify_response(b"0" + bytes([index]), cert_id, ca,
+                                   NOW).error is OCSPError.MALFORMED
+        assert len(memo) == verify_module._VERDICT_CAP
+
+    @pytest.mark.parametrize("case, expected", [
+        ("malformed", OCSPError.MALFORMED),
+        ("error_status", OCSPError.ERROR_STATUS),
+        ("serial_mismatch", OCSPError.SERIAL_MISMATCH),
+        ("bad_signature", OCSPError.BAD_SIGNATURE),
+        ("delegated_ok", None),
+    ])
+    def test_hit_equals_cold_call(self, setup, memo, case, expected):
+        ca_key, ca, _, cert_id = setup
+        if case == "malformed":
+            der = good_response(setup)[:-7]
+        elif case == "error_status":
+            der = encode_error_response(ResponseStatus.TRY_LATER)
+        elif case == "serial_mismatch":
+            der = good_response(setup)
+            cert_id = CertID(cert_id.hash_name, cert_id.issuer_name_hash,
+                             cert_id.issuer_key_hash, 1)
+        elif case == "bad_signature":
+            single = SingleResponse(cert_id, CertStatus.GOOD, NOW - HOUR,
+                                    NOW + WEEK)
+            der = encode_response([single], NOW, generate_keypair(512, rng=83),
+                                  ca.key_hash_sha1())
+        else:
+            signer_key = generate_keypair(512, rng=84)
+            delegate = (
+                CertificateBuilder().serial_number(9).issuer(ca.subject)
+                .subject(Name.build("Delegate"))
+                .public_key(signer_key.public_key)
+                .validity(NOW - DAY, NOW + DAY).leaf().ocsp_signing()
+                .sign(ca_key)
+            )
+            single = SingleResponse(cert_id, CertStatus.GOOD, NOW - HOUR,
+                                    NOW + WEEK)
+            der = encode_response([single], NOW, signer_key,
+                                  delegate.key_hash_sha1(),
+                                  certificates=[delegate])
+
+        cold = verify_response(der, cert_id, ca, NOW)
+        hit = verify_response(der, cert_id, ca, NOW)
+        memo.clear()
+        recomputed = verify_response(der, cert_id, ca, NOW)
+        assert len(memo) == 1
+        assert hit is not cold
+        for field in dataclasses.fields(OCSPCheckResult):
+            assert getattr(hit, field.name) == getattr(cold, field.name) \
+                == getattr(recomputed, field.name), field.name
+        assert cold.error is expected
+        assert cold.ok is cold.delegated is (expected is None)
+        # A caller mutating its result does not touch the memo.
+        hit.ok, hit.error = (not hit.ok), OCSPError.EXPIRED
+        assert verify_response(der, cert_id, ca, NOW) == recomputed
