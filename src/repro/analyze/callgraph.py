@@ -9,7 +9,9 @@ for import-time code).  Pass 2 links call edges and scans each node's
 Resolution strategy — optimistic on the genuinely dynamic:
 
 * names and attribute chains resolve through import bindings,
-  re-export chains, module-level aliases, and local assignments;
+  re-export chains, module-level aliases, and local assignments; a
+  name imported inside a function body resolves through that import
+  (and, for closures, through their definer's);
 * ``self.method`` / ``cls.method`` / ``ClassName.method`` resolve
   through an MRO walk of program classes;
 * local variables are typed from parameter/return annotations and
@@ -51,7 +53,14 @@ from .effects import (
     Effect,
     Pragma,
 )
-from .modgraph import Module, Program, chase_reexport, resolve_attr_chain
+from .modgraph import (
+    Binding,
+    Module,
+    Program,
+    bind_import,
+    chase_reexport,
+    resolve_attr_chain,
+)
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,8 @@ class FunctionInfo:
     broad_excepts: List[int] = field(default_factory=list)
     returns_class: Optional[str] = None
     locals: Set[str] = field(default_factory=set)
+    #: What the ``import`` statements in this function's body bind.
+    imports: Dict[str, Binding] = field(default_factory=dict)
 
     @property
     def is_module_node(self) -> bool:
@@ -400,7 +411,55 @@ class _Linker:
             return None
         return None
 
+    def _scoped_import(self, name: str) -> Optional[Binding]:
+        """What a function-body ``import`` binds *name* to here: this
+        function's own import, else an enclosing function's (closures
+        see their definer's names) — None once a plain local shadows
+        it, or when no function in the chain imports it."""
+        info: Optional[FunctionInfo] = self.info
+        while info is not None and not info.is_module_node:
+            binding = info.imports.get(name)
+            if binding is not None:
+                return binding
+            if name in info.locals:
+                return None
+            info = self.graph.functions.get(info.parent) \
+                if info.parent else None
+        return None
+
+    def _resolve_binding(self, binding: Binding) -> Optional[Resolved]:
+        """The program node an import binding names, if any."""
+        if binding.external or binding.attr is None:
+            return None
+        resolved = chase_reexport(self.graph.program, binding)
+        if resolved is None or resolved.external or resolved.attr is None:
+            return None
+        target = self.graph.program.module(resolved.module)
+        if target is None:
+            return None
+        return self.graph._resolve_module_attr(target, resolved.attr)
+
+    def _import_binding(self, name: str) -> Optional[Binding]:
+        """The import binding *name* denotes here: a function-body
+        import in scope, else (unless a plain local shadows it) the
+        module's."""
+        binding = self._scoped_import(name)
+        if binding is None and name not in self.info.locals:
+            binding = self.module.bindings.get(name)
+        return binding
+
+    def _program_module(self, name: str) -> Optional[Module]:
+        """The program module *name* is bound to here (``from . import
+        corpus`` makes ``corpus.classify_mutant`` resolvable)."""
+        binding = self._import_binding(name)
+        if binding is None or binding.external or binding.attr is not None:
+            return None
+        return self.graph.program.module(binding.module)
+
     def _resolve_name(self, name: str) -> Optional[Resolved]:
+        imported = self._scoped_import(name)
+        if imported is not None:
+            return self._resolve_binding(imported)
         if name in self.info.locals:
             if name in self.env:
                 return ("class", self.env[name])
@@ -413,16 +472,7 @@ class _Linker:
             return ("class", cls.qualname)
         binding = self.module.bindings.get(name)
         if binding is not None and not binding.external:
-            if binding.attr is None:
-                return None
-            resolved = chase_reexport(self.graph.program, binding)
-            if resolved is None or resolved.external or \
-                    resolved.attr is None:
-                return None
-            target = self.graph.program.module(resolved.module)
-            if target is None:
-                return None
-            return self.graph._resolve_module_attr(target, resolved.attr)
+            return self._resolve_binding(binding)
         alias = _module_alias_target(self.module, name)
         if isinstance(alias, ast.Name):
             if alias.id != name:
@@ -446,6 +496,9 @@ class _Linker:
             if base is not None and base[0] == "class":
                 method = self.graph.method_on(base[1], expr.attr)
                 return ("func", method) if method else None
+            module = self._program_module(value.id)
+            if module is not None:
+                return self.graph._resolve_module_attr(module, expr.attr)
         if isinstance(value, ast.Call):
             # ``Scanner().probe()`` — resolve what the receiver call
             # constructs or returns, then look the method up on it.
@@ -464,7 +517,8 @@ class _Linker:
         parts = _dotted(expr)
         if parts and len(parts) >= 3:
             binding = resolve_attr_chain(self.graph.program, self.module,
-                                         parts[:-1])
+                                         parts[:-1],
+                                         self._scoped_import(parts[0]))
             if binding is not None and not binding.external:
                 if binding.attr is None:
                     target = self.graph.program.module(binding.module)
@@ -541,6 +595,8 @@ class _Linker:
             elif isinstance(child, ast.ExceptHandler) and child.name:
                 info.locals.add(child.name)
             elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                bind_import(self.graph.program, self.module, child,
+                            info.imports)
                 for alias in child.names:
                     info.locals.add(
                         alias.asname or alias.name.split(".")[0])
@@ -638,9 +694,7 @@ class _Linker:
 
     def _is_module_ref(self, name: str) -> bool:
         """Is *name* an imported external module (not shadowed)?"""
-        if name in self.info.locals:
-            return False
-        binding = self.module.bindings.get(name)
+        binding = self._import_binding(name)
         return binding is not None and binding.external and \
             binding.attr is None
 

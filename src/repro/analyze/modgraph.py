@@ -6,17 +6,19 @@ what they denote — a program module, an attribute of a program module,
 or something external (stdlib, third-party) the analyzer treats as
 opaque except for the leaf-seed tables.
 
-Binding resolution is deliberately flow-insensitive: all ``import``
-statements in a module (including function-local ones — the runners
-import heavy dependencies lazily) contribute to one table.  Shadowing
-one import alias with a different import elsewhere in the same module
-would confuse it; the style rule that aliases are module-unique is
-cheap, and the analyzer's job is effects, not name hygiene.
+Binding resolution is flow-insensitive within a scope: every
+``import`` outside function bodies contributes to the module's table,
+and every ``import`` inside a function body (the runners import heavy
+dependencies lazily) to that function's own table
+(:func:`bind_import`, called by the call-graph linker).  A name a
+function imports therefore resolves to what *that* import names, never
+to a module-level binding of the same name.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -125,64 +127,81 @@ def _relative_base(module: Module, level: int) -> Optional[str]:
 
 
 def _bind_imports(program: Program, module: Module) -> None:
-    """Fill *module*'s binding table from every import statement."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                target = alias.name
-                internal = target in program
-                if alias.asname:
-                    module.bindings[alias.asname] = Binding(
-                        target, external=not internal)
-                else:
-                    # ``import a.b.c`` binds ``a``; attribute chains on
-                    # it are resolved against the full dotted path.
-                    head = target.split(".")[0]
-                    module.bindings.setdefault(
-                        head, Binding(head, external=head not in program))
-                if internal and node.col_offset == 0:
-                    module.static_imports.append(target)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = _relative_base(module, node.level)
-                if base is None:
-                    continue
-                source = f"{base}.{node.module}" if node.module else base
+    """Fill *module*'s binding table from every import statement
+    outside a function body (in :func:`ast.walk` order)."""
+    todo = deque([module.tree])
+    while todo:
+        node = todo.popleft()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bind_import(program, module, node, module.bindings)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def bind_import(program: Program, module: Module, node: ast.stmt,
+                table: Dict[str, Binding]) -> None:
+    """Record in *table* what one ``import`` statement of *module*
+    binds (the module's own table, or a function's)."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            target = alias.name
+            internal = target in program
+            if alias.asname:
+                table[alias.asname] = Binding(target, external=not internal)
             else:
-                source = node.module or ""
-            if not source:
-                continue
-            internal = (source in program
-                        or any(name.startswith(source + ".")
-                               for name in program.modules))
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                submodule = f"{source}.{alias.name}"
-                if submodule in program:
-                    # ``from pkg import mod`` where mod is a module.
-                    module.bindings[bound] = Binding(submodule)
-                    if node.col_offset == 0:
-                        module.static_imports.append(submodule)
-                else:
-                    module.bindings[bound] = Binding(
-                        source, alias.name, external=not internal)
-            if internal and source in program and node.col_offset == 0:
-                module.static_imports.append(source)
+                # ``import a.b.c`` binds ``a``; attribute chains on
+                # it are resolved against the full dotted path.
+                head = target.split(".")[0]
+                table.setdefault(
+                    head, Binding(head, external=head not in program))
+            if internal and node.col_offset == 0:
+                module.static_imports.append(target)
+        return
+    if not isinstance(node, ast.ImportFrom):
+        return
+    if node.level:
+        base = _relative_base(module, node.level)
+        if base is None:
+            return
+        source = f"{base}.{node.module}" if node.module else base
+    else:
+        source = node.module or ""
+    if not source:
+        return
+    internal = (source in program
+                or any(name.startswith(source + ".")
+                       for name in program.modules))
+    for alias in node.names:
+        if alias.name == "*":
+            continue
+        bound = alias.asname or alias.name
+        submodule = f"{source}.{alias.name}"
+        if submodule in program:
+            # ``from pkg import mod`` where mod is a module.
+            table[bound] = Binding(submodule)
+            if node.col_offset == 0:
+                module.static_imports.append(submodule)
+        else:
+            table[bound] = Binding(source, alias.name,
+                                   external=not internal)
+    if internal and source in program and node.col_offset == 0:
+        module.static_imports.append(source)
 
 
 def resolve_attr_chain(program: Program, module: Module,
-                       parts: List[str]) -> Optional[Binding]:
+                       parts: List[str],
+                       head: Optional[Binding] = None) -> Optional[Binding]:
     """Resolve a dotted name chain (``quality.certificates_cdf``)
     against *module*'s bindings to a program-level binding.
 
-    Returns None when the chain starts from a local name or anything
-    else the binding table does not know.
+    *head*, when given, is what the chain's first name denotes in the
+    calling scope (a function-body import); otherwise the module's
+    table is asked.  Returns None when the chain starts from a local
+    name or anything else the binding table does not know.
     """
     if not parts:
         return None
-    binding = module.bindings.get(parts[0])
+    binding = head if head is not None else module.bindings.get(parts[0])
     if binding is None or binding.external:
         return None
     current = binding

@@ -118,7 +118,7 @@ def seed_world(reference_time: int = DEFAULT_REFERENCE_TIME) -> SeedWorld:
         issuer=issuing.certificate,
         cert_id=cert_id,
     )
-    _SEED_MEMO[reference_time] = world
+    _SEED_MEMO[reference_time] = world  # repro: allow-effect[GLOBAL_MUTATION] -- memo keyed by the reference time; the same key always maps to the same seed documents
     return world
 
 def _parse(kind: str, der: bytes):
@@ -169,7 +169,8 @@ def classify_mutant(kind: str, der: bytes, world: SeedWorld) -> Dict[str, Any]:
         context = LintContext(reference_time=world.reference_time,
                               issuer=world.issuer, cert_id=world.cert_id)
         findings = LintEngine().lint_der(der, _LINT_KIND[kind],
-                                         f"hostile/{kind}", context)
+                                         f"hostile/{kind}", context,
+                                         parsed=parsed)
         lint_errors = [f for f in findings if f.severity >= Severity.ERROR]
     except Exception as exc:  # repro: allow-broad-except -- lint-layer escapes on hostile input are findings, not failures; classified as unexpected_exception rows
         row.update(outcome="unexpected_exception",

@@ -207,14 +207,55 @@ def _ber_indefinite(document: bytes, rng: random.Random,
     return encode_forest(tree)
 
 
+#: The deepest nest :func:`_depth_bomb` draws.
+_BOMB_DEPTH_MAX = 1999
+
+#: Body length -> :func:`_build_nest` of it.  The SEQUENCE headers of
+#: a depth bomb depend only on the length of what they wrap, so each
+#: seed document's nest is built once and every depth is a slice of
+#: it.  Entries are evicted oldest first; a corpus has three seeds.
+_NESTS: Dict[int, Tuple[bytes, Tuple[int, ...]]] = {}
+_NEST_CAP = 16
+
+
 def _depth_bomb(document: bytes, rng: random.Random,
                 donors: Sequence[bytes]) -> bytes:
     """Bury the document under hundreds of nested SEQUENCEs."""
-    depth = rng.randrange(200, 2000)
-    body = document
-    for _ in range(depth):
-        body = encoder.encode_tlv(tags.SEQUENCE, body)
-    return body
+    depth = rng.randrange(200, _BOMB_DEPTH_MAX + 1)
+    blob, starts = _nest(len(document))
+    return blob[starts[depth]:] + document
+
+
+def _nest(body_len: int) -> Tuple[bytes, Tuple[int, ...]]:
+    nest = _NESTS.get(body_len)
+    if nest is None:
+        nest = _build_nest(body_len)
+        _remember_nest(body_len, nest)
+    return nest
+
+
+def _remember_nest(body_len: int, nest: Tuple[bytes, Tuple[int, ...]]) -> None:  # repro: allow-effect[GLOBAL_MUTATION] -- bounded memo of a pure function of its key; a hit returns the bytes a rebuild would give
+    if len(_NESTS) >= _NEST_CAP:
+        _NESTS.pop(next(iter(_NESTS)))
+    _NESTS[body_len] = nest
+
+
+def _build_nest(body_len: int) -> Tuple[bytes, Tuple[int, ...]]:
+    """The SEQUENCE headers that wrap a *body_len*-byte body
+    :data:`_BOMB_DEPTH_MAX` times, outermost first, and for each depth
+    *k* the offset where the *k* innermost headers begin: the depth-*k*
+    bomb of a body is ``blob[starts[k]:] + body``."""
+    headers: List[bytes] = []
+    length = body_len
+    for _ in range(_BOMB_DEPTH_MAX):
+        header = bytes([tags.SEQUENCE]) + encoder.encode_length(length)
+        headers.append(header)
+        length += len(header)
+    blob = b"".join(reversed(headers))
+    starts = [len(blob)]
+    for header in headers:
+        starts.append(starts[-1] - len(header))
+    return blob, tuple(starts)
 
 
 def _length_bomb(document: bytes, rng: random.Random,

@@ -212,9 +212,14 @@ def tlv_fixed_point(der: bytes) -> bool:
     The differential invariant for survivors: a document our parsers
     accept must round-trip through the TLV layer to stable bytes.
     Returns False when either decode fails or the two encodings differ.
+    When the first re-encoding reproduces *der* exactly, the second
+    round would parse the same bytes and so re-encode them identically:
+    that case answers True after one round.
     """
     try:
         first = encode_forest(parse_forest(der))
+        if first == der:
+            return True
         second = encode_forest(parse_forest(first))
     except ASN1Error:
         return False

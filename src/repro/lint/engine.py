@@ -223,17 +223,26 @@ class LintEngine:
     # -- single artifacts ----------------------------------------------------
 
     def lint_der(self, der: bytes, kind: str, source: str = "<der>",
-                 context: Optional[LintContext] = None) -> List[Finding]:
-        """Lint one DER artifact of a known *kind*."""
+                 context: Optional[LintContext] = None,
+                 parsed: object = None) -> List[Finding]:
+        """Lint one DER artifact of a known *kind*.
+
+        A caller that already parsed *der* with the *kind*'s parser
+        (``Certificate.from_der``, ``OCSPResponse.from_der``,
+        ``CertificateList.from_der``, strict) may pass the result as
+        *parsed*; parsing is a pure function of the bytes, so the
+        findings are the ones a fresh parse would give.
+        """
         ctx = context or self.context
         if kind not in KINDS:
             raise ValueError(f"unknown artifact kind: {kind}")
-        try:
-            parsed = _PARSERS[kind](der)
-        except (ASN1Error, ValueError) as exc:
-            rule = PARSE_RULES[kind]
-            return [rule.finding(kind, source, f"does not parse: {exc}",
-                                 Span(0, len(der)))]
+        if parsed is None:
+            try:
+                parsed = _PARSERS[kind](der)
+            except (ASN1Error, ValueError) as exc:
+                rule = PARSE_RULES[kind]
+                return [rule.finding(kind, source, f"does not parse: {exc}",
+                                     Span(0, len(der)))]
         spans = _SPAN_WALKERS[kind](der)
         artifact = Artifact(kind=kind, der=der, parsed=parsed,
                             source=source, spans=spans)
@@ -260,12 +269,18 @@ class LintEngine:
 
     def lint_certificate(self, certificate: Certificate, source: str = "<certificate>",
                          context: Optional[LintContext] = None) -> List[Finding]:
-        """Lint a parsed certificate (re-examined from its own DER)."""
+        """Lint a parsed certificate (re-examined from its own DER).
+
+        The DER is parsed again on purpose: *certificate* may come from
+        a lenient parse or straight from the constructor, and lint
+        judges the strict parse of the bytes, not the object.
+        """
         return self.lint_der(certificate.der, KIND_CERTIFICATE, source, context)
 
     def lint_crl(self, crl: CertificateList, source: str = "<crl>",
                  context: Optional[LintContext] = None) -> List[Finding]:
-        """Lint a parsed CRL."""
+        """Lint a parsed CRL (re-examined from its own DER, for the
+        reason :meth:`lint_certificate` gives)."""
         return self.lint_der(crl.der, KIND_CRL, source, context)
 
     def lint_ocsp(self, response_der: bytes, source: str = "<ocsp>",

@@ -536,9 +536,14 @@ class FleetCoordinator(ShardTransport):
 
     def _credit(self, envelopes: List[Any]) -> List[AttemptOutcome]:
         """Outcomes for the envelopes that settle outstanding tickets
-        (:func:`merge_job_results` decides which do)."""
-        expected = {str(ticket): job
-                    for ticket, job in self.outstanding.items()}
+        (:func:`merge_job_results` decides which do).  Only the tickets
+        the envelopes name are looked up: the merge reads no others."""
+        expected: Dict[str, Dict[str, Any]] = {}
+        for envelope in envelopes:
+            ticket = envelope.get("ticket") \
+                if isinstance(envelope, dict) else None
+            if type(ticket) is int and ticket in self.outstanding:
+                expected[str(ticket)] = self.outstanding[ticket]
         outcomes: List[AttemptOutcome] = []
         for envelope in merge_job_results(envelopes, expected):
             job = self.outstanding.pop(envelope["ticket"])

@@ -232,6 +232,64 @@ def test_reexported_name_effect_caught(tmp_path):
     assert {v.effect for v in result.violations} == {Effect.WALL_CLOCK}
 
 
+LAZY_HELPERS = {
+    "impl.py": "import time\ndef tick():\n    return time.time()\n",
+    "pure.py": "def tick():\n    return 0\n",
+}
+
+
+@pytest.mark.parametrize("runner", [
+    # the runners' lazy-import idiom
+    "def run_lazy(config):\n"
+    "    from .impl import tick\n"
+    "    return tick()\n",
+    # the body's import wins over a module-level name of the same name
+    "from .pure import tick\n"
+    "def run_lazy(config):\n"
+    "    from .impl import tick\n"
+    "    return tick()\n",
+    # a module imported in the body
+    "def run_lazy(config):\n"
+    "    from . import impl\n"
+    "    return impl.tick()\n",
+    # a closure calls what its definer imported
+    "def run_lazy(config):\n"
+    "    from .impl import tick\n"
+    "    def inner():\n"
+    "        return tick()\n"
+    "    return inner()\n",
+], ids=["from-import", "shadows-module-name", "module", "closure"])
+def test_function_body_import_effect_caught(tmp_path, runner):
+    root = write_tree(tmp_path, {
+        "core/experiments.py": REGISTRY.format(
+            ref="fixpkg.runners:run_lazy"),
+        "runners.py": runner, **LAZY_HELPERS})
+    analysis = analyze_tree(root)
+    result = contract_for(analysis, "fixpkg.runners:run_lazy")
+    assert not result.ok
+    [violation] = result.violations
+    assert violation.effect is Effect.WALL_CLOCK
+    assert violation.chain[-1].qualname == "fixpkg.impl:tick"
+
+
+def test_function_body_import_does_not_fall_back_to_module_name(tmp_path):
+    """A pure helper imported in the body is what the body calls, even
+    when the module binds an impure helper under the same name."""
+    root = write_tree(tmp_path, {
+        "core/experiments.py": REGISTRY.format(
+            ref="fixpkg.runners:run_lazy"),
+        "runners.py": ("from .impl import tick\n"
+                       "def run_lazy(config):\n"
+                       "    from .pure import tick\n"
+                       "    return tick()\n"),
+        **LAZY_HELPERS})
+    analysis = analyze_tree(root)
+    assert contract_for(analysis, "fixpkg.runners:run_lazy").ok
+    calls = [edge.callee for edge in
+             analysis.graph.functions["fixpkg.runners:run_lazy"].calls]
+    assert calls == ["fixpkg.pure:tick"]
+
+
 def test_three_calls_deep_wall_clock_fails_contract(tmp_path):
     """The acceptance fixture: an effect only reachable 3 calls deep."""
     root = registry_tree(tmp_path, (
