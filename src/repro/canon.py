@@ -13,7 +13,9 @@ here:
   parts, so independent shards can draw from non-overlapping,
   position-independent streams;
 * :func:`split_ranges` — contiguous, gap-free partitioning of an index
-  space into shard ranges.
+  space into shard ranges;
+* :class:`FieldCodec` — the one ``to_dict``/``from_dict``/
+  ``config_digest`` codec every run config derives from its fields.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import enum
 import hashlib
 import json
 import random
-from typing import Any, List, Tuple
+import typing
+from typing import Any, Dict, List, Tuple
 
 
 def canonical(obj: Any) -> Any:
@@ -111,3 +114,64 @@ def split_ranges(total: int, parts: int) -> List[Tuple[int, int]]:
             ranges.append((lo, hi))
         lo = hi
     return ranges
+
+
+class FieldCodec:
+    """Field-driven ``to_dict``/``from_dict``/``config_digest`` for a
+    config dataclass.
+
+    The dataclass fields are the only field list, so no field can drop
+    out of a digest or cache key.  The rules:
+
+    * a nested config (a :class:`FieldCodec`) encodes recursively;
+    * a tuple encodes as a list, except that an empty tuple in a field
+      whose default is ``None`` encodes as ``None`` (``vantages=()``
+      and ``vantages=None`` both mean "all six" and share a digest);
+    * a dict encodes key-sorted;
+    * :meth:`from_dict` rebuilds nested configs and tuples from the
+      type hints; a missing key takes the field default and an unknown
+      key raises ``TypeError``.
+    """
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Stable field mapping (cache keys, shard payloads)."""
+        data: Dict[str, Any] = {}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, FieldCodec):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = (None if not value and field.default is None
+                         else list(value))
+            elif isinstance(value, dict):
+                value = {key: value[key] for key in sorted(value)}
+            data[field.name] = value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]):
+        """Rebuild from :meth:`to_dict` output."""
+        hints = typing.get_type_hints(cls)
+        return cls(**{name: _decode(hints.get(name), value)
+                      for name, value in data.items()})
+
+    def config_digest(self) -> str:
+        """Content address of this config."""
+        return stable_digest(self)
+
+
+def _decode(hint: Any, value: Any) -> Any:
+    """Rebuild one :meth:`FieldCodec.to_dict` value of type *hint*."""
+    if value is None:
+        return None
+    if typing.get_origin(hint) is typing.Union:      # Optional[X]
+        hint = next(arg for arg in typing.get_args(hint)
+                    if arg is not type(None))
+    if isinstance(hint, type) and issubclass(hint, FieldCodec):
+        return hint.from_dict(value)
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        return tuple(value)
+    if origin is dict:
+        return dict(value)
+    return value

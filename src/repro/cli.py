@@ -284,23 +284,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   shard_timeout=args.shard_timeout,
                   max_retries=args.retries)
     if args.transport == "jobqueue":
-        from .runtime import QueueTuning
         if not args.queue_dir:
             print("run: --transport jobqueue needs --queue-dir",
                   file=sys.stderr)
             return 2
         kwargs.update(transport="jobqueue", queue_dir=args.queue_dir,
-                      queue_tuning=QueueTuning(lease_s=args.lease),
+                      lease_s=args.lease,
                       spawn_workers=not args.no_spawn)
     elif args.transport == "socket":
-        from .runtime import QueueTuning, parse_address
+        from .runtime import parse_address
         try:
             parse_address(args.listen)
         except ValueError as exc:
             print(f"run: --listen {exc}", file=sys.stderr)
             return 2
         kwargs.update(transport="socket", listen=args.listen,
-                      queue_tuning=QueueTuning(lease_s=args.lease),
+                      lease_s=args.lease,
                       spawn_workers=not args.no_spawn)
     try:
         result = run_experiment(args.experiment_id, scale=scale, **kwargs)

@@ -236,7 +236,7 @@ _EXPERIMENTS: List[Experiment] = [
          "repro.scanner.hourly"),
         "benchmarks/test_chaos_availability.py",
         "hourly scan x {baseline, brownout, blackout, tail-latency, stale}",
-        runner="repro.runtime.runners:run_chaos_availability",
+        runner="repro.faults.experiments:run_chaos_availability",
     ),
     Experiment(
         "chaos-client-outcomes", "Client policies under fault scenarios",
@@ -245,7 +245,7 @@ _EXPERIMENTS: List[Experiment] = [
          "repro.ocsp.client"),
         "benchmarks/test_chaos_client_outcomes.py",
         "scenario x {soft-fail, Must-Staple hard-fail, no-check} grid",
-        runner="repro.runtime.runners:run_chaos_client_outcomes",
+        runner="repro.faults.experiments:run_chaos_client_outcomes",
     ),
     Experiment(
         "hostile-corpus", "Parser survival under structure-aware mutation",
@@ -254,7 +254,7 @@ _EXPERIMENTS: List[Experiment] = [
          "repro.asn1.decoder", "repro.lint.engine", "repro.ocsp.verify"),
         "benchmarks/test_hostile_corpus.py",
         "seeded DER mutants x {certificate, OCSP, CRL} x parse/lint/verify",
-        runner="repro.runtime.runners:run_hostile_corpus",
+        runner="repro.hostile.experiments:run_hostile_corpus",
     ),
     Experiment(
         "serve-loadtest", "Responder daemon byte-identity and throughput",
@@ -263,7 +263,7 @@ _EXPERIMENTS: List[Experiment] = [
          "repro.serve.loadgen", "repro.ca.responder"),
         "benchmarks/test_serve_loadtest.py",
         "seeded traffic x {daemon path, in-process core} identity + warm-cache load",
-        runner="repro.runtime.runners:run_serve_loadtest",
+        runner="repro.serve.experiments:run_serve_loadtest",
     ),
     Experiment(
         "monitor-convergence", "Streaming reducer merges vs batch pipeline",
@@ -272,7 +272,7 @@ _EXPERIMENTS: List[Experiment] = [
          "repro.monitor.replay", "repro.core.availability"),
         "benchmarks/test_monitor_replay.py",
         "event-log partitions x {forward, backward} merge folds vs batch digests",
-        runner="repro.runtime.runners:run_monitor_convergence",
+        runner="repro.monitor.experiments:run_monitor_convergence",
     ),
 ]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from ..canon import derived_rng, split_ranges, stable_digest
+from ..canon import FieldCodec, derived_rng, split_ranges
 
 ALEXA_POPULATION = 1_000_000
 
@@ -77,7 +77,7 @@ def stapling_probability(rank: int) -> float:
 
 
 @dataclass
-class AlexaConfig:
+class AlexaConfig(FieldCodec):
     """Parameters for the scaled Alexa model."""
 
     #: Number of sampled domains (ranks are spread over the full 1M).
@@ -85,26 +85,6 @@ class AlexaConfig:
     seed: int = 404
     #: Must-Staple domains in the full population (paper: 100).
     must_staple_population: int = 100
-
-    def to_dict(self) -> dict:
-        """Stable field mapping (cache keys, shard specs)."""
-        return {
-            "size": self.size,
-            "seed": self.seed,
-            "must_staple_population": self.must_staple_population,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AlexaConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(**data)
-
-    def config_digest(self) -> str:
-        """Content address of this config."""
-        return stable_digest(self)
-
-    def __hash__(self) -> int:
-        return hash(self.config_digest())
 
 
 def _default_ca_mixture() -> "tuple[List[str], List[float]]":

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..ca import CertificateAuthority
-from ..canon import derived_rng, split_ranges, stable_digest
+from ..canon import FieldCodec, derived_rng, split_ranges
 from ..crypto import KeyPool
 from ..simnet.clock import CENSYS_SNAPSHOT, DAY
 from ..x509 import Certificate
@@ -101,7 +101,7 @@ def _slug(name: str) -> str:
 
 
 @dataclass
-class CorpusConfig:
+class CorpusConfig(FieldCodec):
     """Parameters of a synthetic corpus."""
 
     #: Number of records to generate.
@@ -116,30 +116,6 @@ class CorpusConfig:
     #: records the boost for analysis-time un-scaling.
     must_staple_fraction: float = MUST_STAPLE_CERTIFICATES / VALID_CERTIFICATES
     must_staple_boost: float = 40.0
-
-    def to_dict(self) -> dict:
-        """Stable field mapping (cache keys, shard specs)."""
-        return {
-            "size": self.size,
-            "scale": self.scale,
-            "seed": self.seed,
-            "snapshot_time": self.snapshot_time,
-            "must_staple_fraction": self.must_staple_fraction,
-            "must_staple_boost": self.must_staple_boost,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(**data)
-
-    def config_digest(self) -> str:
-        """Content address of this config — independent of field or
-        repr ordering."""
-        return stable_digest(self)
-
-    def __hash__(self) -> int:
-        return hash(self.config_digest())
 
 
 def generate_records(config: CorpusConfig, start: int = 0,

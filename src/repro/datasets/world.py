@@ -24,6 +24,7 @@ from ..ca import (
     OCSPResponder,
     ResponderProfile,
 )
+from ..canon import FieldCodec
 from ..crypto import KeyPool
 from ..ocsp import CertID
 from ..simnet import (
@@ -47,7 +48,7 @@ PAPER_CERTIFICATES = 14_634
 
 
 @dataclass
-class WorldConfig:
+class WorldConfig(FieldCodec):
     """Scale and mixture parameters for the measurement world."""
 
     n_responders: int = 134
@@ -88,41 +89,6 @@ class WorldConfig:
     def scale_factor(self) -> float:
         """Multiplier mapping world counts back to paper scale."""
         return PAPER_RESPONDERS / self.n_responders
-
-    def to_dict(self) -> Dict[str, object]:
-        """Stable field mapping (cache keys, shard specs); noise rates
-        serialize key-sorted so digests never depend on dict order."""
-        return {
-            "n_responders": self.n_responders,
-            "certs_per_responder": self.certs_per_responder,
-            "seed": self.seed,
-            "start": self.start,
-            "end": self.end,
-            "zero_margin_fraction": self.zero_margin_fraction,
-            "future_this_update_fraction": self.future_this_update_fraction,
-            "blank_next_update_fraction": self.blank_next_update_fraction,
-            "long_validity_fraction": self.long_validity_fraction,
-            "serial20_fraction": self.serial20_fraction,
-            "serial_few_fraction": self.serial_few_fraction,
-            "multi_cert_fraction": self.multi_cert_fraction,
-            "pregenerated_fraction": self.pregenerated_fraction,
-            "delegated_fraction": self.delegated_fraction,
-            "malformed_fraction": self.malformed_fraction,
-            "noise_rates": {k: self.noise_rates[k]
-                            for k in sorted(self.noise_rates)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "WorldConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        payload = dict(data)
-        payload["noise_rates"] = dict(payload.get("noise_rates", {}))
-        return cls(**payload)
-
-    def config_digest(self) -> str:
-        """Content address of this config."""
-        from ..canon import stable_digest
-        return stable_digest(self)
 
 
 @dataclass

@@ -267,27 +267,6 @@ class LintEngine:
                     f"lazy decode failed in {rule.rule_id}: {exc}", span))
         return findings
 
-    def lint_certificate(self, certificate: Certificate, source: str = "<certificate>",
-                         context: Optional[LintContext] = None) -> List[Finding]:
-        """Lint a parsed certificate (re-examined from its own DER).
-
-        The DER is parsed again on purpose: *certificate* may come from
-        a lenient parse or straight from the constructor, and lint
-        judges the strict parse of the bytes, not the object.
-        """
-        return self.lint_der(certificate.der, KIND_CERTIFICATE, source, context)
-
-    def lint_crl(self, crl: CertificateList, source: str = "<crl>",
-                 context: Optional[LintContext] = None) -> List[Finding]:
-        """Lint a parsed CRL (re-examined from its own DER, for the
-        reason :meth:`lint_certificate` gives)."""
-        return self.lint_der(crl.der, KIND_CRL, source, context)
-
-    def lint_ocsp(self, response_der: bytes, source: str = "<ocsp>",
-                  context: Optional[LintContext] = None) -> List[Finding]:
-        """Lint raw OCSP response bytes."""
-        return self.lint_der(response_der, KIND_OCSP, source, context)
-
     # -- files / bundles -----------------------------------------------------
 
     def lint_blob(self, raw: bytes, source: str, kind: str = "auto",

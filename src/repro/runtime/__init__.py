@@ -39,7 +39,6 @@ from .configs import (
     LatencyConfig,
     MonitorConvergenceConfig,
     OutageImpactConfig,
-    QueueTuning,
     ReadinessConfig,
     ScanCampaignConfig,
     SeedConfig,
@@ -95,7 +94,6 @@ __all__ = [
     "OutageImpactConfig",
     "PipePoolTransport",
     "Provenance",
-    "QueueTuning",
     "QueueWorker",
     "ReadinessConfig",
     "RunContext",

@@ -19,7 +19,8 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from .cache import CODE_VERSION, ArtifactCache
-from .configs import QueueTuning, default_config
+from .configs import default_config
+from .dist import DEFAULT_LEASE_S
 from .executor import ShardSpec
 from .result import ExperimentResult, Provenance, RunManifest, ShardRecord
 from .supervisor import SupervisedExecutor
@@ -57,29 +58,27 @@ def _pipe(workers: int, shard_timeout: Optional[float], **_: Any
 
 
 def _jobqueue(workers: int, shard_timeout: Optional[float],
-              tuning: QueueTuning, cache: ArtifactCache, spawn: bool,
+              lease_s: float, cache: ArtifactCache, spawn: bool,
               queue_dir: Optional[str] = None, **_: Any) -> ShardTransport:
     from .dist import JobQueueTransport, spawn_local_workers
     if queue_dir is None:
         raise ValueError("transport='jobqueue' needs a queue_dir")
     return JobQueueTransport(
-        queue_dir, lease_s=tuning.lease_s, shard_timeout=shard_timeout,
-        poll_s=tuning.poll_s, reclaim_grace_s=tuning.reclaim_grace_s,
+        queue_dir, lease_s=lease_s, shard_timeout=shard_timeout,
         fleet=(lambda transport: spawn_local_workers(
             queue_dir, workers, cache_dir=cache.root,
-            cache_enabled=cache.enabled, poll_s=tuning.poll_s))
+            cache_enabled=cache.enabled))
         if spawn else None)
 
 
 def _socket(workers: int, shard_timeout: Optional[float],
-            tuning: QueueTuning, cache: ArtifactCache, spawn: bool,
+            lease_s: float, cache: ArtifactCache, spawn: bool,
             listen: Optional[str] = None, **_: Any) -> ShardTransport:
     from .sock import SocketTransport, parse_address, spawn_socket_workers
     host, port = parse_address(listen or "127.0.0.1:0")
     return SocketTransport(
-        host=host, port=port, lease_s=tuning.lease_s,
-        shard_timeout=shard_timeout, poll_s=tuning.poll_s,
-        reclaim_grace_s=tuning.reclaim_grace_s,
+        host=host, port=port, lease_s=lease_s,
+        shard_timeout=shard_timeout,
         fleet=(lambda transport: spawn_socket_workers(
             transport.host, transport.port, workers,
             cache_dir=cache.root, cache_enabled=cache.enabled))
@@ -108,7 +107,7 @@ def run_experiment(experiment_id: str,
                    transport: Union[None, str, ShardTransport] = None,
                    queue_dir: Optional[str] = None,
                    listen: Optional[str] = None,
-                   queue_tuning: Optional[QueueTuning] = None,
+                   lease_s: float = DEFAULT_LEASE_S,
                    spawn_workers: Optional[bool] = None,
                    lifecycle: Optional[Callable[[str, Dict[str, Any]],
                                                 None]] = None
@@ -161,10 +160,11 @@ def run_experiment(experiment_id: str,
         ``host:port`` to bind for ``transport="socket"`` (default
         ``127.0.0.1:0`` — an ephemeral port the spawned fleet is
         pointed at automatically).
-    queue_tuning:
-        Lease/poll tunables shared by the jobqueue and socket
-        transports (a :class:`~repro.runtime.configs.QueueTuning`;
-        deliberately NOT cache-key material).
+    lease_s:
+        Lease duration for the jobqueue and socket transports; a dead
+        worker is detected within about one lease of its last
+        heartbeat (scheduling only — deliberately NOT cache-key
+        material).
     spawn_workers:
         With ``transport="jobqueue"``/``"socket"``: start *workers*
         local ``repro worker`` subprocesses on the first dispatch and
@@ -190,7 +190,7 @@ def run_experiment(experiment_id: str,
             raise ValueError(f"unknown transport: {transport!r}")
         transport = TRANSPORTS[name](
             workers=workers, shard_timeout=shard_timeout,
-            tuning=queue_tuning or QueueTuning(), cache=artifact_cache,
+            lease_s=lease_s, cache=artifact_cache,
             spawn=spawn_workers is None or spawn_workers,
             queue_dir=queue_dir, listen=listen)
     executor = SupervisedExecutor(

@@ -1,11 +1,22 @@
 """Per-experiment run configurations.
 
-Each experiment's runner takes one small config dataclass; every
-config serializes stably (``to_dict``/``from_dict``/``config_digest``)
-because configs travel inside shard payloads and become cache-key
-material.  :func:`default_config` maps an experiment id (plus an
-optional :class:`~repro.core.figures.FigureScale`) to the config the
-CLI, the figure generator, and the benchmarks use.
+Each experiment's runner takes one small config dataclass.  Configs
+travel inside shard payloads and become cache-key material, so every
+one serializes stably through the one field-driven codec,
+:class:`~repro.canon.FieldCodec`: ``to_dict`` walks the dataclass
+fields (nested configs recursively, tuples as lists, an empty tuple in
+a ``None``-default field as ``None``, dicts key-sorted), ``from_dict``
+rebuilds nested configs and tuples from the type hints (a missing key
+takes the field default, an unknown key raises ``TypeError``), and
+``config_digest`` is the :func:`~repro.canon.stable_digest` of that
+mapping.  A new field therefore reaches every digest and cache key
+without further code.  :func:`default_config` maps an experiment id
+(plus an optional :class:`~repro.core.figures.FigureScale`) to the
+config the CLI, the figure generator, and the benchmarks use.
+
+Transport scheduling knobs (the lease a multi-node run passes as
+``run_experiment(lease_s=)``) are deliberately not config fields: they
+must never reach shard payloads or cache keys.
 
 The shard *plan* is always a pure function of the config — never of
 the worker count — so cache keys are stable across ``workers=`` values
@@ -15,63 +26,17 @@ and parallel output is structurally identical to serial output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..canon import stable_digest
+from ..canon import FieldCodec
 from ..datasets.alexa import AlexaConfig
 from ..datasets.corpus import CorpusConfig
 from ..datasets.world import WorldConfig
 from ..simnet import DAY, HOUR, MEASUREMENT_START
 
 
-class _Config:
-    """Shared digest/hash plumbing for the config dataclasses."""
-
-    def config_digest(self) -> str:
-        """Content address of this config."""
-        return stable_digest(self)
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.config_digest()))
-
-
 @dataclass
-class QueueTuning:
-    """Lease/poll tunables for the multi-node transports
-    (``repro run --transport jobqueue`` and ``--transport socket``).
-
-    Deliberately **not** a :class:`_Config`: these knobs govern lease
-    renewal and polling cadence — pure scheduling, shared between the
-    coordinator and its worker fleet — and must never reach shard
-    payloads or cache keys, or changing a heartbeat interval would
-    invalidate every cached shard.  (The no-workers-in-cache-keys rule,
-    applied to the transport layer.)
-    """
-
-    #: Lease duration; a dead worker is detected within about one
-    #: lease of its last heartbeat.
-    lease_s: float = 2.0
-    #: Idle-poll cadence for workers and the coordinator.
-    poll_s: float = 0.05
-    #: How long a claim may sit without a visible lease before it
-    #: counts as a dead claimant (None = derived from ``lease_s``).
-    reclaim_grace_s: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping (CLI/debug display only)."""
-        return {"lease_s": self.lease_s, "poll_s": self.poll_s,
-                "reclaim_grace_s": self.reclaim_grace_s}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QueueTuning":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(lease_s=data.get("lease_s", 2.0),
-                   poll_s=data.get("poll_s", 0.05),
-                   reclaim_grace_s=data.get("reclaim_grace_s"))
-
-
-@dataclass
-class ScanCampaignConfig(_Config):
+class ScanCampaignConfig(FieldCodec):
     """One hourly-scan campaign (Figures 3, 5-9, §5.4, response size)."""
 
     world: WorldConfig = field(default_factory=WorldConfig)
@@ -84,72 +49,29 @@ class ScanCampaignConfig(_Config):
     #: config property, NOT tied to ``workers``).
     target_chunks: int = 8
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "world": self.world.to_dict(),
-            "vantages": list(self.vantages) if self.vantages else None,
-            "interval": self.interval,
-            "start": self.start,
-            "end": self.end,
-            "target_chunks": self.target_chunks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScanCampaignConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        vantages = data.get("vantages")
-        return cls(
-            world=WorldConfig.from_dict(data["world"]),
-            vantages=tuple(vantages) if vantages else None,
-            interval=data["interval"],
-            start=data.get("start"),
-            end=data.get("end"),
-            target_chunks=data.get("target_chunks", 8),
-        )
 
 
 @dataclass
-class CorpusRunConfig(_Config):
+class CorpusRunConfig(FieldCodec):
     """Corpus generation + Section-4 deployment statistics."""
 
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     shards: int = 4
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {"corpus": self.corpus.to_dict(), "shards": self.shards}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CorpusRunConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(corpus=CorpusConfig.from_dict(data["corpus"]),
-                   shards=data.get("shards", 4))
 
 
 @dataclass
-class AlexaRunConfig(_Config):
+class AlexaRunConfig(FieldCodec):
     """Alexa model generation + rank-binned adoption (Figures 2, 11)."""
 
     alexa: AlexaConfig = field(default_factory=AlexaConfig)
     shards: int = 4
     bin_width: int = 10_000
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {"alexa": self.alexa.to_dict(), "shards": self.shards,
-                "bin_width": self.bin_width}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AlexaRunConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(alexa=AlexaConfig.from_dict(data["alexa"]),
-                   shards=data.get("shards", 4),
-                   bin_width=data.get("bin_width", 10_000))
 
 
 @dataclass
-class OutageImpactConfig(_Config):
+class OutageImpactConfig(FieldCodec):
     """Figure 4: Alexa domains unable to fetch OCSP, per vantage."""
 
     world: WorldConfig = field(default_factory=WorldConfig)
@@ -157,43 +79,19 @@ class OutageImpactConfig(_Config):
     times: Tuple[int, ...] = ()
     vantages: Optional[Tuple[str, ...]] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "world": self.world.to_dict(),
-            "seed": self.seed,
-            "times": list(self.times),
-            "vantages": list(self.vantages) if self.vantages else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "OutageImpactConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        vantages = data.get("vantages")
-        return cls(world=WorldConfig.from_dict(data["world"]),
-                   seed=data["seed"], times=tuple(data.get("times", ())),
-                   vantages=tuple(vantages) if vantages else None)
 
 
 @dataclass
-class ConsistencyRunConfig(_Config):
+class ConsistencyRunConfig(FieldCodec):
     """Table 1 / Figure 10: the CRL↔OCSP cross-check."""
 
     scale: int = 40
     seed: int = 17
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {"scale": self.scale, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ConsistencyRunConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(scale=data["scale"], seed=data.get("seed", 17))
 
 
 @dataclass
-class ReadinessConfig(_Config):
+class ReadinessConfig(FieldCodec):
     """Section 8: the cross-principal verdict."""
 
     world: WorldConfig = field(default_factory=lambda: WorldConfig(
@@ -203,99 +101,47 @@ class ReadinessConfig(_Config):
     scan_days: int = 3
     scan_interval: int = 6 * HOUR
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "world": self.world.to_dict(),
-            "corpus": self.corpus.to_dict(),
-            "scan_days": self.scan_days,
-            "scan_interval": self.scan_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ReadinessConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(world=WorldConfig.from_dict(data["world"]),
-                   corpus=CorpusConfig.from_dict(data["corpus"]),
-                   scan_days=data["scan_days"],
-                   scan_interval=data["scan_interval"])
 
 
 @dataclass
-class LatencyConfig(_Config):
+class LatencyConfig(FieldCodec):
     """Extension: direct vs CDN-fronted lookup latency."""
 
     world: WorldConfig = field(default_factory=lambda: WorldConfig(
         n_responders=60, certs_per_responder=1))
     hours: int = 12
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {"world": self.world.to_dict(), "hours": self.hours}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LatencyConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(world=WorldConfig.from_dict(data["world"]),
-                   hours=data["hours"])
 
 
 @dataclass
-class AttackWindowConfig(_Config):
+class AttackWindowConfig(FieldCodec):
     """Extension: replay / strip-and-block attack windows."""
 
     seed: int = 6
     validities: Tuple[int, ...] = (2 * HOUR, DAY, 7 * DAY)
     horizon: int = 30 * DAY
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {"seed": self.seed, "validities": list(self.validities),
-                "horizon": self.horizon}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AttackWindowConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(seed=data["seed"],
-                   validities=tuple(data.get("validities", ())),
-                   horizon=data.get("horizon", 30 * DAY))
 
 
 @dataclass
-class WhatIfRunConfig(_Config):
+class WhatIfRunConfig(FieldCodec):
     """Extension: universal Must-Staple enforcement."""
 
     n_sites: int = 40
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {"n_sites": self.n_sites}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "WhatIfRunConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(n_sites=data["n_sites"])
 
 
 @dataclass
-class SeedConfig(_Config):
+class SeedConfig(FieldCodec):
     """Experiments with no tunable inputs beyond a seed (Tables 2/3,
     Figure 12, the multi-staple / alternatives / ablation studies)."""
 
     seed: int = 7
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {"seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SeedConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(seed=data.get("seed", 7))
 
 
 @dataclass
-class ChaosAvailabilityConfig(_Config):
+class ChaosAvailabilityConfig(FieldCodec):
     """Chaos extension of Figures 3/4: the hourly scan swept across
     named fault scenarios (catalogue in :mod:`repro.faults`)."""
 
@@ -305,24 +151,10 @@ class ChaosAvailabilityConfig(_Config):
     #: in shard payloads; plans are rebuilt worker-side).
     fault_seed: int = 23
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "campaign": self.campaign.to_dict(),
-            "scenarios": list(self.scenarios),
-            "fault_seed": self.fault_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ChaosAvailabilityConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(campaign=ScanCampaignConfig.from_dict(data["campaign"]),
-                   scenarios=tuple(data.get("scenarios", ("baseline",))),
-                   fault_seed=data.get("fault_seed", 23))
 
 
 @dataclass
-class ChaosClientConfig(_Config):
+class ChaosClientConfig(FieldCodec):
     """Chaos client-outcome grid: fault scenario × client policy."""
 
     world: WorldConfig = field(default_factory=WorldConfig)
@@ -332,32 +164,10 @@ class ChaosClientConfig(_Config):
     vantages: Optional[Tuple[str, ...]] = None
     fault_seed: int = 23
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "world": self.world.to_dict(),
-            "scenarios": list(self.scenarios),
-            "policies": list(self.policies),
-            "times": list(self.times),
-            "vantages": list(self.vantages) if self.vantages else None,
-            "fault_seed": self.fault_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ChaosClientConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        vantages = data.get("vantages")
-        return cls(world=WorldConfig.from_dict(data["world"]),
-                   scenarios=tuple(data.get("scenarios", ("baseline",))),
-                   policies=tuple(data.get("policies",
-                                           ("firefox-soft-fail",))),
-                   times=tuple(data.get("times", ())),
-                   vantages=tuple(vantages) if vantages else None,
-                   fault_seed=data.get("fault_seed", 23))
 
 
 @dataclass
-class HostileCorpusConfig(_Config):
+class HostileCorpusConfig(FieldCodec):
     """Hostile-corpus survival matrix: seeded DER mutation × the full
     parse/lint/verify stack (:mod:`repro.hostile`)."""
 
@@ -370,30 +180,10 @@ class HostileCorpusConfig(_Config):
     #: Contiguous mutation-id slices per kind — the shard granularity.
     chunks: int = 8
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "seed": self.seed,
-            "reference_time": self.reference_time,
-            "mutants_per_kind": self.mutants_per_kind,
-            "kinds": list(self.kinds),
-            "chunks": self.chunks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HostileCorpusConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(seed=data.get("seed", 2018),
-                   reference_time=data.get("reference_time",
-                                           MEASUREMENT_START + DAY),
-                   mutants_per_kind=data.get("mutants_per_kind", 2000),
-                   kinds=tuple(data.get("kinds",
-                                        ("certificate", "ocsp", "crl"))),
-                   chunks=data.get("chunks", 8))
 
 
 @dataclass
-class ServeLoadTestConfig(_Config):
+class ServeLoadTestConfig(FieldCodec):
     """Serve load test: daemon-path byte-identity plus warm-cache
     throughput over seeded corpus traffic (:mod:`repro.serve`)."""
 
@@ -410,32 +200,10 @@ class ServeLoadTestConfig(_Config):
     #: Contiguous request-range slices — the identity-shard granularity.
     chunks: int = 8
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "world": self.world.to_dict(),
-            "seed": self.seed,
-            "requests": self.requests,
-            "get_fraction": self.get_fraction,
-            "nonce_fraction": self.nonce_fraction,
-            "max_batch": self.max_batch,
-            "chunks": self.chunks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServeLoadTestConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(world=WorldConfig.from_dict(data["world"]),
-                   seed=data.get("seed", 6960),
-                   requests=data.get("requests", 4000),
-                   get_fraction=data.get("get_fraction", 0.25),
-                   nonce_fraction=data.get("nonce_fraction", 0.02),
-                   max_batch=data.get("max_batch", 64),
-                   chunks=data.get("chunks", 8))
 
 
 @dataclass
-class MonitorConvergenceConfig(_Config):
+class MonitorConvergenceConfig(FieldCodec):
     """Monitor convergence: shard-level reducer merges over one scan
     campaign's event log vs. the batch pipeline (:mod:`repro.monitor`).
 
@@ -450,19 +218,6 @@ class MonitorConvergenceConfig(_Config):
     #: Event-log partition count (one reduce shard each).
     partitions: int = 5
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "campaign": self.campaign.to_dict(),
-            "partitions": self.partitions,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MonitorConvergenceConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            campaign=ScanCampaignConfig.from_dict(data["campaign"]),
-            partitions=data.get("partitions", 5))
 
 
 def default_config(experiment_id: str, scale: Optional[object] = None):

@@ -8,7 +8,9 @@ Two layers live here:
   they need from the payload (memoized per process) and return plain
   row dicts, which is what the artifact cache stores.
 * **experiment runners** — one per registry entry, named in
-  ``Experiment.runner``.  A runner plans shards, hands them to the
+  ``Experiment.runner`` (the chaos, hostile, serve and monitor
+  experiments keep theirs beside their workers, in each package's
+  ``experiments`` module).  A runner plans shards, hands them to the
   :class:`~repro.runtime.api.RunContext`, merges rows, and runs the
   (cheap) analysis stage in the parent process.
 
@@ -829,34 +831,3 @@ def run_abl_keysize(ctx, config: SeedConfig) -> Dict[str, Any]:
         "rows": rows,
         "summary": {"semantics_ok": all(row["semantics_ok"] for row in rows)},
     }
-
-
-def run_chaos_availability(ctx, config) -> Dict[str, Any]:
-    """Chaos extension of Figures 3/4 (lives in repro.faults; re-exported
-    here so the registry's ``repro.runtime.runners:`` convention holds)."""
-    from ..faults.experiments import run_chaos_availability as impl
-    return impl(ctx, config)
-
-
-def run_chaos_client_outcomes(ctx, config) -> Dict[str, Any]:
-    """Chaos scenario × client-policy grid (impl in repro.faults)."""
-    from ..faults.experiments import run_chaos_client_outcomes as impl
-    return impl(ctx, config)
-
-
-def run_hostile_corpus(ctx, config) -> Dict[str, Any]:
-    """Mutation-survival matrix (impl in repro.hostile)."""
-    from ..hostile.experiments import run_hostile_corpus as impl
-    return impl(ctx, config)
-
-
-def run_serve_loadtest(ctx, config) -> Dict[str, Any]:
-    """Daemon byte-identity + warm-cache load (impl in repro.serve)."""
-    from ..serve.experiments import run_serve_loadtest as impl
-    return impl(ctx, config)
-
-
-def run_monitor_convergence(ctx, config) -> Dict[str, Any]:
-    """Stream-vs-batch reducer convergence (impl in repro.monitor)."""
-    from ..monitor.experiments import run_monitor_convergence as impl
-    return impl(ctx, config)

@@ -6,29 +6,51 @@ The load-bearing guarantees:
   plain in-process scanner) for shard-merged experiments;
 * the artifact cache hits on an unchanged config, misses on any config
   change, and a warm rerun executes zero shards;
-* every registry entry resolves to a callable runner.
+* every registry entry resolves to a callable runner;
+* the config -> cache-key mapping is frozen: every default config's
+  ``to_dict()``, digest and planned shard keys match
+  ``tests/data/config_digests.json``, and every config class
+  round-trips through JSON.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import typing
+from pathlib import Path
 
 import pytest
 
-from repro.core.experiments import all_experiments
-from repro.datasets import CorpusConfig, WorldConfig
+from repro.canon import FieldCodec
+from repro.core.experiments import all_experiments, experiment
+from repro.core.figures import FigureScale
+from repro.datasets import AlexaConfig, CorpusConfig, WorldConfig
 from repro.datasets.corpus import CertificateCorpus
 from repro.runtime import (
+    AlexaRunConfig,
     ArtifactCache,
+    AttackWindowConfig,
+    ChaosAvailabilityConfig,
+    ChaosClientConfig,
+    ConsistencyRunConfig,
     CorpusRunConfig,
+    HostileCorpusConfig,
+    LatencyConfig,
+    MonitorConvergenceConfig,
+    OutageImpactConfig,
+    ReadinessConfig,
     ScanCampaignConfig,
+    SeedConfig,
     ShardSpec,
     SupervisedExecutor,
+    WhatIfRunConfig,
     default_config,
     run_experiment,
     shard_key,
 )
+from repro.runtime.configs import ServeLoadTestConfig
 from repro.scanner.hourly import HourlyScanner
 from repro.scanner.io import dump_dataset
 from repro.simnet import DAY, HOUR, MEASUREMENT_START
@@ -169,18 +191,152 @@ class TestRegistryCompleteness:
             assert callable(runner), entry.experiment_id
 
     def test_every_experiment_has_default_config(self):
-        for entry in all_experiments():
-            config = default_config(entry.experiment_id)
-            digest = config.config_digest()
-            assert isinstance(digest, str) and digest
-            # Configs round-trip through their dict form.
-            rebuilt = type(config).from_dict(
-                json.loads(json.dumps(config.to_dict())))
-            assert rebuilt.config_digest() == digest
+        for scale in (FigureScale.small(), FigureScale.full()):
+            for entry in all_experiments():
+                config = default_config(entry.experiment_id, scale)
+                digest = config.config_digest()
+                assert isinstance(digest, str) and digest
+                # Configs round-trip through their dict form.
+                rebuilt = type(config).from_dict(
+                    json.loads(json.dumps(config.to_dict())))
+                assert rebuilt == config, entry.experiment_id
+                assert rebuilt.config_digest() == digest
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             run_experiment("not-an-experiment")
+
+
+DATA_DIR = Path(__file__).parent / "data"
+
+#: Every config class; each derives its codec from :class:`FieldCodec`.
+CONFIG_CLASSES = (
+    WorldConfig, CorpusConfig, AlexaConfig, ScanCampaignConfig,
+    CorpusRunConfig, AlexaRunConfig, OutageImpactConfig,
+    ConsistencyRunConfig, ReadinessConfig, LatencyConfig,
+    AttackWindowConfig, WhatIfRunConfig, SeedConfig,
+    ChaosAvailabilityConfig, ChaosClientConfig, HostileCorpusConfig,
+    ServeLoadTestConfig, MonitorConvergenceConfig,
+)
+
+
+class _Planned(Exception):
+    """Raised by :class:`_PlanRecorder` once a runner has planned."""
+
+
+class _PlanRecorder:
+    """A run context that records the first planned shard batch and
+    stops the runner before anything executes."""
+
+    def __init__(self) -> None:
+        self.specs = []
+
+    def run_shards(self, specs):
+        self.specs.extend(specs)
+        raise _Planned
+
+
+def _planned_keys(experiment_id: str, config) -> list:
+    ctx = _PlanRecorder()
+    with pytest.raises(_Planned):
+        experiment(experiment_id).resolve_runner()(ctx, config)
+    return [spec.key() for spec in ctx.specs]
+
+
+def _non_default_value(hint, default):
+    """A value of type *hint* that differs from *default*."""
+    if isinstance(default, FieldCodec):
+        return _non_default_config(type(default))
+    if typing.get_origin(hint) is typing.Union:          # Optional[X]
+        hint = typing.get_args(hint)[0]
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        element = _non_default_value(typing.get_args(hint)[0], None)
+        return tuple(default or ()) + (element,)
+    if origin is dict:
+        return {key: value + 0.5 for key, value in default.items()}
+    if hint is str:
+        return "Virginia"
+    if hint is float:
+        return (default or 0.0) + 0.5
+    return (default or 0) + 1
+
+
+def _non_default_config(cls):
+    """An instance of *cls* with a non-default value in every field,
+    nested configs included."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for field in dataclasses.fields(cls):
+        default = getattr(cls(), field.name)
+        values[field.name] = _non_default_value(hints[field.name], default)
+        assert values[field.name] != default, (cls.__name__, field.name)
+    return cls(**values)
+
+
+class TestConfigCodec:
+    def test_config_classes_are_every_codec_subclass(self):
+        assert set(FieldCodec.__subclasses__()) == set(CONFIG_CLASSES)
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_non_default_round_trip(self, cls):
+        config = _non_default_config(cls)
+        rebuilt = cls.from_dict(json.loads(json.dumps(config.to_dict())))
+        assert rebuilt == config
+        assert rebuilt.config_digest() == config.config_digest()
+        assert config.config_digest() != cls().config_digest()
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_unknown_key_raises(self, cls):
+        with pytest.raises(TypeError):
+            cls.from_dict({**cls().to_dict(), "not_a_field": 1})
+
+    def test_missing_key_takes_default(self):
+        assert ScanCampaignConfig.from_dict({}) == ScanCampaignConfig()
+        assert (ChaosClientConfig.from_dict({"fault_seed": 5})
+                == ChaosClientConfig(fault_seed=5))
+
+    @pytest.mark.parametrize("cls", (ScanCampaignConfig, OutageImpactConfig,
+                                     ChaosClientConfig),
+                             ids=lambda cls: cls.__name__)
+    def test_empty_vantages_mean_all(self, cls):
+        empty, unset = cls(vantages=()), cls(vantages=None)
+        assert empty.to_dict()["vantages"] is None
+        assert empty.config_digest() == unset.config_digest()
+
+
+class TestFrozenConfigDigests:
+    """The config -> cache-key mapping recorded in
+    ``tests/data/config_digests.json``: a drift means a warm cache would
+    serve one campaign's shards to another (or miss every shard)."""
+
+    FROZEN = json.loads((DATA_DIR / "config_digests.json").read_text())
+
+    @staticmethod
+    def _check(record, experiment_id, config):
+        assert json.dumps(config.to_dict()) == record["to_dict"]
+        assert config.config_digest() == record["config_digest"]
+        assert _planned_keys(experiment_id, config) == record["shard_keys"]
+
+    @pytest.mark.parametrize("scale_name", ("small", "full"))
+    def test_default_configs(self, scale_name):
+        scale = getattr(FigureScale, scale_name)()
+        frozen = self.FROZEN[scale_name]
+        assert set(frozen) == {entry.experiment_id
+                               for entry in all_experiments()}
+        for experiment_id, record in sorted(frozen.items()):
+            self._check(record, experiment_id,
+                        default_config(experiment_id, scale))
+
+    def test_hostile_fleet_configs(self):
+        # perfbench/hostile_fleet.py: seeds 0 and 7, cold and rerun corpus.
+        frozen = self.FROZEN["hostile_fleet"]
+        assert len(frozen) == 4
+        for seed, record in sorted(frozen.items()):
+            self._check(record, "hostile-corpus",
+                        HostileCorpusConfig(seed=int(seed), chunks=200))
 
 
 class TestResultShape:

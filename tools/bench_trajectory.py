@@ -126,8 +126,8 @@ def bench_dist_socket(workers: int) -> Dict[str, object]:
     alongside wall time; the warm leg exercises the string-transport
     path (``transport="socket"``) end to end, spawn and reap included.
     """
-    from repro.runtime import (QueueTuning, SocketTransport,
-                               run_experiment, spawn_socket_workers)
+    from repro.runtime import (SocketTransport, run_experiment,
+                               spawn_socket_workers)
     from repro.runtime.dist import join_workers
 
     fleet = max(2, min(workers, 4))
@@ -151,7 +151,6 @@ def bench_dist_socket(workers: int) -> Dict[str, object]:
         warm = run_experiment("fig3", workers=fleet, cache=True,
                               cache_dir=cache_dir, transport="socket",
                               listen="127.0.0.1:0",
-                              queue_tuning=QueueTuning(),
                               shard_timeout=120.0)
         warm_wall = time.perf_counter() - started
     finally:
