@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Record (or print) the frozen result digests of the scan family and
+the hostile corpus.
+
+``tests/data/result_digests.json`` holds, for each experiment of the
+Figure 3 family (``fig3``, ``fig5``-``fig9``, ``ext-response-size``)
+at small scale, the :func:`repro.canon.stable_digest` of its rows,
+series and summary.  The family shares one cache, so ``fig3`` runs
+cold and the rest restore its shards, exactly as a researcher's
+campaign does.  For ``hostile-corpus`` (default config) it holds one
+digest per ``(kind, family)`` group of rows, every field included
+(``error_class``, ``error_detail``, ``error_offset``), plus the digest
+of the summary: a decoder change that moves one error offset changes
+a group digest even when the outcome counts stay the same.
+
+Timings, provenance and the run manifest are measurements, not
+results, so they are left out.
+
+Usage::
+
+    PYTHONPATH=src python tools/record_result_digests.py          # print
+    PYTHONPATH=src python tools/record_result_digests.py --write  # refresh
+
+Refreshing the file is a check change: only a change that means to
+alter results may do it, and it must say so.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any, Dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+DIGESTS = (Path(__file__).resolve().parent.parent / "tests" / "data"
+           / "result_digests.json")
+
+#: The Figure 3 family, in the order a shared cache fills and serves.
+SCAN_FAMILY = ("fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
+               "ext-response-size")
+
+
+def scan_family_digests(cache_dir: str) -> Dict[str, Dict[str, str]]:
+    """rows/series/summary digests of the scan family, one shared cache."""
+    from repro.canon import stable_digest
+    from repro.runtime import run_experiment
+
+    out = {}
+    for experiment_id in SCAN_FAMILY:
+        result = run_experiment(experiment_id, workers=1,
+                                cache_dir=cache_dir)
+        out[experiment_id] = {"rows": stable_digest(result.rows),
+                              "series": stable_digest(result.series),
+                              "summary": stable_digest(result.summary)}
+    return out
+
+
+def hostile_digests() -> Dict[str, Any]:
+    """Per-(kind, family) row digests plus the summary digest."""
+    from repro.canon import stable_digest
+    from repro.runtime import run_experiment
+
+    result = run_experiment("hostile-corpus", workers=1, cache=False)
+    groups: Dict[str, list] = {}
+    for row in result.rows:
+        groups.setdefault(f"{row['kind']}/{row['family']}", []).append(row)
+    return {"rows": {group: stable_digest(rows)
+                     for group, rows in sorted(groups.items())},
+            "row_count": len(result.rows),
+            "summary": stable_digest(result.summary)}
+
+
+def compute() -> Dict[str, Any]:
+    """Every frozen digest, recomputed now."""
+    with tempfile.TemporaryDirectory(prefix="result-digests-") as cache:
+        scan = scan_family_digests(cache)
+    return {"scan_family": scan, "hostile_corpus": hostile_digests()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help=f"overwrite {DIGESTS.name}")
+    args = parser.parse_args(argv)
+    document = {
+        "about": ("stable_digest of rows/series/summary for the small-scale "
+                  "Figure 3 family (one shared cache) and of every "
+                  "hostile-corpus row, grouped by kind/family; written by "
+                  "tools/record_result_digests.py"),
+        **compute(),
+    }
+    text = json.dumps(document, indent=1, sort_keys=True) + "\n"
+    if args.write:
+        DIGESTS.write_text(text)
+        print(f"wrote {DIGESTS}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
