@@ -102,8 +102,10 @@ def encode_null() -> bytes:
 
 
 def encode_oid(oid: "ObjectIdentifier | str") -> bytes:
-    """Encode an OBJECT IDENTIFIER."""
-    return encode_tlv(tags.OBJECT_IDENTIFIER, ObjectIdentifier(oid).encode_content())
+    """Encode an OBJECT IDENTIFIER (reusing an instance's cached content)."""
+    if not isinstance(oid, ObjectIdentifier):
+        oid = ObjectIdentifier(oid)
+    return encode_tlv(tags.OBJECT_IDENTIFIER, oid.encode_content())
 
 
 def encode_sequence(*elements: bytes) -> bytes:

@@ -22,9 +22,12 @@ class ObjectIdentifier:
 
         >>> ObjectIdentifier("1.3.6.1.5.5.7.1.24").arcs
         (1, 3, 6, 1, 5, 5, 7, 1, 24)
+
+    Each instance caches its DER content octets on first use; that is
+    exact because the arcs never change.
     """
 
-    __slots__ = ("_arcs",)
+    __slots__ = ("_arcs", "_content")
 
     def __init__(self, value: "str | Iterable[int] | ObjectIdentifier") -> None:
         if isinstance(value, ObjectIdentifier):
@@ -45,6 +48,7 @@ class ObjectIdentifier:
         if any(arc < 0 for arc in arcs):
             raise EncodeError(f"OID arcs must be non-negative: {arcs!r}")
         object.__setattr__(self, "_arcs", arcs)
+        object.__setattr__(self, "_content", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ObjectIdentifier is immutable")
@@ -61,11 +65,15 @@ class ObjectIdentifier:
 
     def encode_content(self) -> bytes:
         """Return the DER content octets (no tag/length)."""
-        first = self._arcs[0] * 40 + self._arcs[1]
-        out = bytearray(_encode_base128(first))
-        for arc in self._arcs[2:]:
-            out.extend(_encode_base128(arc))
-        return bytes(out)
+        content = self._content
+        if content is None:
+            first = self._arcs[0] * 40 + self._arcs[1]
+            out = bytearray(_encode_base128(first))
+            for arc in self._arcs[2:]:
+                out.extend(_encode_base128(arc))
+            content = bytes(out)
+            object.__setattr__(self, "_content", content)
+        return content
 
     @classmethod
     def decode_content(cls, content: bytes) -> "ObjectIdentifier":
@@ -93,7 +101,11 @@ class ObjectIdentifier:
             head = (1, first - 40)
         else:
             head = (2, first - 80)
-        return cls(head + tuple(arcs[1:]))
+        decoded = cls(head + tuple(arcs[1:]))
+        # Padded sub-identifiers are rejected above, so accepted content
+        # is the canonical encoding of its arcs.
+        object.__setattr__(decoded, "_content", bytes(content))
+        return decoded
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ObjectIdentifier):

@@ -89,7 +89,4 @@ class CertID:
 
 def _key_hash(issuer: Certificate, hash_name: str) -> bytes:
     """Hash of the issuer's public key BIT STRING content."""
-    spki = Reader(issuer.spki_der).read_sequence()
-    spki.read_sequence()
-    key_bits = spki.read_bit_string()
-    return hashlib.new(hash_name, key_bits).digest()
+    return hashlib.new(hash_name, issuer.public_key_bits).digest()

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 from ..asn1 import ObjectIdentifier, Reader, encoder, oid, tags
 from ..asn1.errors import DecodeError
 from ..crypto import RSAPrivateKey, RSAPublicKey, is_valid, sign
-from ..x509 import Certificate
+from ..x509 import Certificate, parse_certificate
 from .certid import CertID
 
 _HASH_TO_ALGORITHM = {
@@ -217,7 +217,7 @@ def _decode_basic(der: bytes, lenient: bool = False) -> BasicOCSPResponse:
     if certs_field is not None:
         certs_seq = certs_field.read_sequence()
         while not certs_seq.at_end():
-            certificates.append(Certificate.from_der(certs_seq.read_raw_element()))
+            certificates.append(parse_certificate(certs_seq.read_raw_element()))
 
     tbs = Reader(tbs_der, lenient=lenient).read_sequence()
     version_field = tbs.maybe_context(0)

@@ -19,12 +19,10 @@ Authority Delegation).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Optional
 
-from ..asn1 import Reader
 from ..asn1.errors import ASN1Error
 from ..x509 import Certificate
 from ..asn1 import oid as _oid
@@ -240,15 +238,8 @@ def _find_delegate(basic: BasicOCSPResponse, issuer: Certificate) -> Optional[Ce
             continue
         if not candidate.verify_signature(issuer.public_key):
             continue
-        if basic.responder_key_hash is not None:
-            key_bits = _public_key_bits(candidate)
-            if hashlib.sha1(key_bits).digest() != basic.responder_key_hash:
-                continue
+        if basic.responder_key_hash is not None and \
+                candidate.key_hash_sha1() != basic.responder_key_hash:
+            continue
         return candidate
     return None
-
-
-def _public_key_bits(certificate: Certificate) -> bytes:
-    spki = Reader(certificate.spki_der).read_sequence()
-    spki.read_sequence()
-    return spki.read_bit_string()

@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..x509 import Certificate
+from ..x509 import Certificate, parse_certificate
 from .messages import ClientHello, ServerHandshake
 
 # Handshake message types (RFC 5246 / 6066).
@@ -168,7 +168,7 @@ def decode_certificate_message(data: bytes) -> List[Certificate]:
     while cursor < end:
         length = int.from_bytes(body[cursor:cursor + 3], "big")
         cursor += 3
-        chain.append(Certificate.from_der(body[cursor:cursor + length]))
+        chain.append(parse_certificate(body[cursor:cursor + length]))
         cursor += length
     return chain
 

@@ -24,7 +24,8 @@ from .extensions import (
     make_san_extension,
     make_tls_feature_extension,
 )
-from .certificate import Certificate, Validity, parse_certificate_chain
+from .certificate import (Certificate, Validity, parse_certificate,
+                          parse_certificate_chain)
 from .builder import CertificateBuilder, self_signed
 from .crl import CRLBuilder, CertificateList, RevokedCertificate
 from .rootstores import RootStorePopulation, STORE_NAMES, StoreMembership
@@ -84,6 +85,7 @@ __all__ = [
     "make_ocsp_nocheck_extension",
     "make_san_extension",
     "make_tls_feature_extension",
+    "parse_certificate",
     "parse_certificate_chain",
     "self_signed",
     "validate",

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from ..asn1 import ObjectIdentifier, encoder, oid
 from ..crypto import RSAPrivateKey, RSAPublicKey, encode_spki, sign
-from .certificate import Certificate
+from .certificate import Certificate, parse_certificate
 from .extensions import (
     Extension,
     make_aia_extension,
@@ -129,7 +129,11 @@ class CertificateBuilder:
     # -- signing -------------------------------------------------------------
 
     def sign(self, issuer_key: RSAPrivateKey) -> Certificate:
-        """Assemble, sign, and return the parsed certificate."""
+        """Assemble, sign, and return the parsed certificate.
+
+        The parse goes through :func:`parse_certificate`, so responses
+        that later embed this certificate reuse it.
+        """
         missing = [
             field for field, value in (
                 ("serial_number", self._serial_number),
@@ -169,7 +173,7 @@ class CertificateBuilder:
         certificate_der = encoder.encode_sequence(
             tbs, algorithm, encoder.encode_bit_string(signature)
         )
-        return Certificate.from_der(certificate_der)
+        return parse_certificate(certificate_der)
 
 
 def self_signed(subject: Name, key: RSAPrivateKey, serial: int,

@@ -84,14 +84,15 @@ class Extension:
 
 
 class Extensions:
-    """An ordered extension collection with typed accessors."""
+    """An immutable, ordered extension collection with typed accessors."""
+
+    __slots__ = ("_extensions",)
 
     def __init__(self, extensions: Sequence[Extension] = ()) -> None:
-        self._extensions: List[Extension] = list(extensions)
+        object.__setattr__(self, "_extensions", tuple(extensions))
 
-    def add(self, extension: Extension) -> None:
-        """Append an extension."""
-        self._extensions.append(extension)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Extensions is immutable")
 
     def get(self, extn_id: ObjectIdentifier) -> Optional[Extension]:
         """Return the first extension with *extn_id*, or None."""

@@ -23,7 +23,9 @@ class Name:
 
     def __init__(self, attributes: Sequence[Tuple[ObjectIdentifier, str]]) -> None:
         self._attributes: Tuple[Tuple[ObjectIdentifier, str], ...] = tuple(
-            (ObjectIdentifier(attr_type), str(value)) for attr_type, value in attributes
+            (attr_type if isinstance(attr_type, ObjectIdentifier)
+             else ObjectIdentifier(attr_type), str(value))
+            for attr_type, value in attributes
         )
         self._der: Optional[bytes] = None
 
