@@ -18,26 +18,24 @@ Commands:
 * ``serve``       — asyncio OCSP-over-HTTP responder daemon
 * ``loadgen``     — deterministic load generator against a daemon
 * ``monitor``     — replay/tail/summarize a monitor event log
-* ``worker``      — execute shards from a job queue (``--queue-dir``)
-  or a TCP coordinator (``--connect host:port``)
+* ``worker``      — execute shards for a TCP coordinator
+  (``--connect host:port``)
 
 Experiment-running commands share the runtime flags ``--workers``,
 ``--cache-dir``, ``--no-cache``, and ``--seed``; everything funnels
 through :func:`repro.runtime.run_experiment`, whose supervised
 executor makes every run crash-tolerant and resumable.  ``run``
 additionally takes ``--allow-partial``, ``--shard-timeout`` and
-``--retries`` (supervision policy), ``--transport jobqueue --queue-dir
-DIR`` to dispatch shards through a filesystem job queue that
-independent ``repro worker`` processes drain, and ``--transport socket
-[--listen HOST:PORT]`` to coordinate a fleet over TCP with no shared
-filesystem at all.
+``--retries`` (supervision policy), and ``--transport socket
+[--listen HOST:PORT]`` to coordinate a fleet of ``repro worker``
+processes over TCP with no shared filesystem at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from .simnet import DAY, HOUR, MEASUREMENT_START
 
@@ -283,23 +281,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs.update(allow_partial=args.allow_partial,
                   shard_timeout=args.shard_timeout,
                   max_retries=args.retries)
-    if args.transport == "jobqueue":
-        if not args.queue_dir:
-            print("run: --transport jobqueue needs --queue-dir",
-                  file=sys.stderr)
-            return 2
-        kwargs.update(transport="jobqueue", queue_dir=args.queue_dir,
-                      lease_s=args.lease,
-                      spawn_workers=not args.no_spawn)
-    elif args.transport == "socket":
+    if args.transport == "socket":
         from .runtime import parse_address
+        from .runtime.dist import DEFAULT_LEASE_S
         try:
             parse_address(args.listen)
         except ValueError as exc:
             print(f"run: --listen {exc}", file=sys.stderr)
             return 2
         kwargs.update(transport="socket", listen=args.listen,
-                      lease_s=args.lease,
+                      lease_s=DEFAULT_LEASE_S if args.lease is None
+                      else args.lease,
                       spawn_workers=not args.no_spawn)
     try:
         result = run_experiment(args.experiment_id, scale=scale, **kwargs)
@@ -581,15 +573,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    """Execute shards from a job-queue directory (``--queue-dir``) or
-    a TCP coordinator (``--connect``) until the coordinator stops the
-    fleet (or the idle/job limits hit)."""
+    """Execute shards for the TCP coordinator at ``--connect`` until it
+    stops the fleet (or the idle/job limits hit)."""
     from .runtime import ArtifactCache
-    from .runtime.dist import QueueWorker
+    from .runtime.sock import (DEFAULT_RECONNECT_LIMIT, SocketWorker,
+                               parse_address)
 
-    if bool(args.queue_dir) == bool(args.connect):
-        print("worker: exactly one of --queue-dir or --connect is "
-              "required", file=sys.stderr)
+    try:
+        host, port = parse_address(args.connect)
+    except ValueError as exc:
+        print(f"worker: {exc}", file=sys.stderr)
         return 2
     cache = None
     if not args.no_cache:
@@ -601,21 +594,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         stream = open(args.events, "w", encoding="ascii")
         events = EventLogWriter(stream, meta={"source": "repro worker",
                                               "worker": args.id})
-    if args.connect:
-        from .runtime.sock import SocketWorker, parse_address
-        try:
-            host, port = parse_address(args.connect)
-        except ValueError as exc:
-            print(f"worker: {exc}", file=sys.stderr)
-            if stream is not None:
-                stream.close()
-            return 2
-        worker: Any = SocketWorker(host, port, args.id, cache=cache,
-                                   events=events,
-                                   reconnect_limit=args.reconnect)
-    else:
-        worker = QueueWorker(args.queue_dir, args.id, cache=cache,
-                             poll_s=args.poll, events=events)
+    worker = SocketWorker(
+        host, port, args.id, cache=cache, events=events,
+        reconnect_limit=DEFAULT_RECONNECT_LIMIT if args.reconnect is None
+        else args.reconnect)
     try:
         executed = worker.run(max_jobs=args.max_jobs,
                               idle_exit_s=args.idle_exit)
@@ -887,34 +869,28 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--retries", type=int, default=2,
                      help="extra attempts per shard beyond the first "
                           "(default 2)")
-    run.add_argument("--transport", choices=["pipe", "jobqueue",
-                                             "socket"],
+    run.add_argument("--transport", choices=["pipe", "socket"],
                      default="pipe",
                      help="shard transport: pipe (this host: "
                           "in-process at --workers 1, else a worker "
-                          "pool; default), jobqueue (filesystem job "
-                          "queue drained by 'repro worker' processes), "
-                          "or socket (TCP coordinator that 'repro "
-                          "worker --connect' workers dial; no shared "
-                          "filesystem needed)")
-    run.add_argument("--queue-dir", default=None, metavar="DIR",
-                     help="with --transport jobqueue: the shared queue "
-                          "directory")
+                          "pool; default) or socket (TCP coordinator "
+                          "that 'repro worker --connect' workers dial; "
+                          "no shared filesystem needed)")
     run.add_argument("--listen", default="127.0.0.1:0",
                      metavar="HOST:PORT",
                      help="with --transport socket: the address to "
                           "bind (default 127.0.0.1:0 — an ephemeral "
                           "port the spawned fleet is pointed at)")
     run.add_argument("--no-spawn", action="store_true",
-                     help="with --transport jobqueue/socket: do not "
-                          "spawn a local worker fleet; externally "
-                          "started 'repro worker' processes do the "
-                          "work")
-    run.add_argument("--lease", type=float, default=2.0,
+                     help="with --transport socket: do not spawn a "
+                          "local worker fleet; externally started "
+                          "'repro worker' processes do the work")
+    run.add_argument("--lease", type=float, default=None,
                      metavar="SECONDS",
-                     help="with --transport jobqueue/socket: lease "
-                          "duration; a dead worker is detected within "
-                          "about one lease (default 2.0)")
+                     help="with --transport socket: lease duration; a "
+                          "dead worker is detected within about one "
+                          "lease (default: the runtime's "
+                          "DEFAULT_LEASE_S)")
     run.set_defaults(func=_cmd_run)
 
     readiness = commands.add_parser("readiness", parents=[runtime_flags],
@@ -1055,22 +1031,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = commands.add_parser(
         "worker",
-        help="execute shards from a job-queue directory or a TCP "
-             "coordinator (see 'repro run --transport "
-             "jobqueue/socket')")
-    worker.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="the shared queue directory (filesystem "
-                             "transport; exactly one of --queue-dir / "
-                             "--connect)")
-    worker.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="dial a socket coordinator instead of "
-                             "polling a queue directory")
-    worker.add_argument("--reconnect", type=int, default=8,
+        help="execute shards for a TCP coordinator (see 'repro run "
+             "--transport socket')")
+    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
+                        help="the socket coordinator to dial")
+    worker.add_argument("--reconnect", type=int, default=None,
                         metavar="N",
-                        help="with --connect: consecutive failed "
-                             "dials before giving the coordinator up "
-                             "for dead (default 8, capped exponential "
-                             "backoff between dials)")
+                        help="consecutive failed dials before giving "
+                             "the coordinator up for dead, with capped "
+                             "exponential backoff between dials "
+                             "(default: the runtime's "
+                             "DEFAULT_RECONNECT_LIMIT)")
     worker.add_argument("--id", default="worker", metavar="NAME",
                         help="worker id recorded in leases and result "
                              "envelopes (default: worker)")
@@ -1080,16 +1051,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "~/.cache/repro-experiments)")
     worker.add_argument("--no-cache", action="store_true",
                         help="disable the artifact cache")
-    worker.add_argument("--poll", type=float, default=0.05,
-                        metavar="SECONDS",
-                        help="idle poll cadence (default 0.05)")
     worker.add_argument("--max-jobs", type=int, default=None,
                         help="exit after executing this many shards")
     worker.add_argument("--idle-exit", type=float, default=None,
                         metavar="SECONDS",
-                        help="exit after this long with nothing "
-                             "claimable (default: wait for the stop "
-                             "marker)")
+                        help="exit after this long without a job "
+                             "(default: wait for the coordinator's "
+                             "stop broadcast)")
     worker.add_argument("--events", default=None, metavar="PATH",
                         help="write worker lifecycle events as a "
                              "monitor event log ('repro monitor' "

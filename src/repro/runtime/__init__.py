@@ -45,15 +45,7 @@ from .configs import (
     WhatIfRunConfig,
     default_config,
 )
-from .dist import (
-    JobQueueTransport,
-    QueueWorker,
-    job_document,
-    merge_job_results,
-    queue_shards,
-    spawn_local_workers,
-    stop_workers,
-)
+from .dist import job_document, merge_job_results
 from .executor import ShardSpec, resolve_worker
 from .sock import (
     FrameBuffer,
@@ -88,13 +80,11 @@ __all__ = [
     "ExperimentResult",
     "FrameBuffer",
     "HostileCorpusConfig",
-    "JobQueueTransport",
     "LatencyConfig",
     "MonitorConvergenceConfig",
     "OutageImpactConfig",
     "PipePoolTransport",
     "Provenance",
-    "QueueWorker",
     "ReadinessConfig",
     "RunContext",
     "RunManifest",
@@ -118,11 +108,8 @@ __all__ = [
     "job_document",
     "merge_job_results",
     "parse_address",
-    "queue_shards",
     "resolve_worker",
     "run_experiment",
     "shard_key",
-    "spawn_local_workers",
     "spawn_socket_workers",
-    "stop_workers",
 ]

@@ -57,20 +57,6 @@ def _pipe(workers: int, shard_timeout: Optional[float], **_: Any
     return local_transport(workers, shard_timeout)
 
 
-def _jobqueue(workers: int, shard_timeout: Optional[float],
-              lease_s: float, cache: ArtifactCache, spawn: bool,
-              queue_dir: Optional[str] = None, **_: Any) -> ShardTransport:
-    from .dist import JobQueueTransport, spawn_local_workers
-    if queue_dir is None:
-        raise ValueError("transport='jobqueue' needs a queue_dir")
-    return JobQueueTransport(
-        queue_dir, lease_s=lease_s, shard_timeout=shard_timeout,
-        fleet=(lambda transport: spawn_local_workers(
-            queue_dir, workers, cache_dir=cache.root,
-            cache_enabled=cache.enabled))
-        if spawn else None)
-
-
 def _socket(workers: int, shard_timeout: Optional[float],
             lease_s: float, cache: ArtifactCache, spawn: bool,
             listen: Optional[str] = None, **_: Any) -> ShardTransport:
@@ -85,12 +71,11 @@ def _socket(workers: int, shard_timeout: Optional[float],
         if spawn else None)
 
 
-#: Transport name -> factory.  The jobqueue and socket transports own
-#: the local fleet they spawn (started on first dispatch, stopped and
-#: joined on close).
+#: Transport name -> factory.  The socket transport owns the local
+#: fleet it spawns (started on first dispatch, stopped and joined on
+#: close).
 TRANSPORTS: Dict[str, Callable[..., ShardTransport]] = {
     "pipe": _pipe,
-    "jobqueue": _jobqueue,
     "socket": _socket,
 }
 
@@ -105,7 +90,6 @@ def run_experiment(experiment_id: str,
                    shard_timeout: Optional[float] = None,
                    max_retries: int = 2,
                    transport: Union[None, str, ShardTransport] = None,
-                   queue_dir: Optional[str] = None,
                    listen: Optional[str] = None,
                    lease_s: float = DEFAULT_LEASE_S,
                    spawn_workers: Optional[bool] = None,
@@ -144,33 +128,28 @@ def run_experiment(experiment_id: str,
         How shard attempts reach compute, by name in :data:`TRANSPORTS`
         or as an instance.  ``None``/``"pipe"`` runs on this host —
         in-process for one worker without a shard timeout, otherwise
-        a pipe pool; ``"jobqueue"`` publishes the plan into
-        *queue_dir* as claimable job files for independent ``repro
-        worker`` processes (``None`` with a *queue_dir* means this
-        too); ``"socket"`` listens on *listen* for ``repro worker
-        --connect`` workers dialing in over TCP — no shared
+        a pipe pool; ``"socket"`` listens on *listen* for ``repro
+        worker --connect`` workers dialing in over TCP — no shared
         filesystem needed; a
         :class:`~repro.runtime.transport.ShardTransport` instance is
         used as-is (caller owns and closes it).  Every transport
         yields byte-identical merges — topology changes scheduling,
         never content.
-    queue_dir:
-        The shared queue directory for ``transport="jobqueue"``.
     listen:
         ``host:port`` to bind for ``transport="socket"`` (default
         ``127.0.0.1:0`` — an ephemeral port the spawned fleet is
         pointed at automatically).
     lease_s:
-        Lease duration for the jobqueue and socket transports; a dead
+        Lease duration for the socket transport; a dead
         worker is detected within about one lease of its last
         heartbeat (scheduling only — deliberately NOT cache-key
         material).
     spawn_workers:
-        With ``transport="jobqueue"``/``"socket"``: start *workers*
-        local ``repro worker`` subprocesses on the first dispatch and
-        stop them when the run ends (default True; a run served
-        entirely from cache starts none).  Pass False when an external
-        fleet drains the queue or dials the coordinator.
+        With ``transport="socket"``: start *workers* local ``repro
+        worker`` subprocesses on the first dispatch and stop them when
+        the run ends (default True; a run served entirely from cache
+        starts none).  Pass False when an external fleet dials the
+        coordinator.
     lifecycle:
         Optional telemetry callback ``(state, info)`` — wired to the
         monitor's ``worker`` event kind by the CLI.
@@ -184,15 +163,14 @@ def run_experiment(experiment_id: str,
     artifact_cache = ArtifactCache(root=cache_dir, enabled=cache)
     owned = not isinstance(transport, ShardTransport)
     if owned:
-        name = transport or ("jobqueue" if queue_dir is not None
-                             else "pipe")
+        name = transport or "pipe"
         if name not in TRANSPORTS:
             raise ValueError(f"unknown transport: {transport!r}")
         transport = TRANSPORTS[name](
             workers=workers, shard_timeout=shard_timeout,
             lease_s=lease_s, cache=artifact_cache,
             spawn=spawn_workers is None or spawn_workers,
-            queue_dir=queue_dir, listen=listen)
+            listen=listen)
     executor = SupervisedExecutor(
         workers=workers, cache=artifact_cache, shard_timeout=shard_timeout,
         max_retries=max_retries, allow_partial=allow_partial,

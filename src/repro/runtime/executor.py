@@ -3,8 +3,8 @@
 A :class:`ShardSpec` is a picklable description of one work unit — a
 dotted ``module:function`` worker entrypoint plus a JSON-able payload.
 :func:`execute_job` is the single place a shard is computed, whichever
-transport carried it (in-process, pipe pool, job queue, or socket
-fleet): cache-first by shard key, a firewall that turns any raised
+transport carried it (in-process, pipe pool, or socket fleet):
+cache-first by shard key, a firewall that turns any raised
 exception into a typed error envelope, timing, cache store, and the
 result envelope the coordinator credits.  Because every worker is a
 pure function of its payload, the carrier can never change the output
@@ -51,8 +51,8 @@ def execute_job(job: Dict[str, Any], cache: Optional[ArtifactCache] = None,
                 owner: str = "", isolated: bool = True) -> Dict[str, Any]:
     """Run one job document; returns its result envelope.
 
-    *job* carries ``ticket``, ``worker`` and ``payload`` (the fleets'
-    :func:`~repro.runtime.dist.job_document` adds the ``job`` id,
+    *job* carries ``ticket``, ``worker`` and ``payload`` (the socket
+    fleet's :func:`~repro.runtime.dist.job_document` adds the ``job`` id,
     ``digest`` and cache ``key``).  The envelope echoes id, ticket and
     digest, names *owner*, and carries ``rows`` or the exception's
     ``type`` name and ``message``, by which the coordinator classifies

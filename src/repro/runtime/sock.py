@@ -1,18 +1,17 @@
 """Socket shard transport: the supervised runtime over plain TCP.
 
-The job queue (PR 9, :mod:`repro.runtime.dist`) took the runtime
-multi-node but still assumed a shared filesystem.  This module drops
-that last requirement: the coordinator (:class:`SocketTransport`)
-listens on a TCP port, ``repro worker --connect host:port`` workers
-(:class:`SocketWorker`) dial in, and a length-prefixed framed protocol
-carries *exactly the same documents* the queue moves as files —
-:func:`~repro.runtime.dist.job_document` out,
-digest-checked result envelopes back, arbitrated by
-:func:`~repro.runtime.dist.merge_job_results` verbatim.  Supervisor
-policy (retries, backoff, quarantine, manifests, cache-first
-planning) is untouched; only the wire changed.
+The coordinator (:class:`SocketTransport`) listens on a TCP port,
+``repro worker --connect host:port`` workers (:class:`SocketWorker`)
+dial in, and a length-prefixed framed protocol carries the fleet's
+lease-table documents (:mod:`repro.runtime.dist`):
+:func:`~repro.runtime.dist.job_document` out, digest-checked result
+envelopes back, arbitrated by
+:func:`~repro.runtime.dist.merge_job_results`.  No shared filesystem
+is needed.  Supervisor policy (retries, backoff, quarantine,
+manifests, cache-first planning) lives in the supervisor; this module
+only moves attempts.
 
-Frame grammar (DESIGN.md §10)::
+Frame grammar (DESIGN.md §9.1)::
 
     frame   := length payload
     length  := 4-byte big-endian byte count of payload
@@ -34,11 +33,10 @@ The protocol, state by state:
 * **assign** — the coordinator sends ``JOB`` (a verbatim
   ``job_document``) to an idle worker and starts a lease on its own
   clock; the worker's heartbeat thread renews it with ``HEARTBEAT``
-  frames, and — exactly like the queue — stops renewing once the
-  shard's wall-clock budget is spent, so a *hang* expires like a
-  *death*.
+  frames, and stops renewing once the shard's wall-clock budget is
+  spent, so a *hang* expires like a *death*.
 * **reclaim** — an expired lease becomes a ``crash``/``hang``
-  attempt outcome through the queue's own lease-expiry step
+  attempt outcome through the pure lease-expiry step
   (:func:`~repro.runtime.dist.classify_lease`), the worker gets
   ``RETRACT``, and the supervisor's existing ``classify_exception``
   policy decides retry vs. quarantine.
@@ -50,14 +48,13 @@ The protocol, state by state:
   functions of their payloads, rival results carried identical rows
   anyway.  Rows also land in the content-addressed artifact cache
   under the single-host keys, so a dead coordinator's successor
-  resumes from cache exactly as the queue does.
+  resumes from cache.
 
-Leases here live on :func:`time.perf_counter`: unlike the filesystem
-queue, deadlines are never compared across machines — the coordinator
-stamps them when frames *arrive* — so no wall clock is needed.  The
-worker-side dial/backoff sleeps are this module's one determinism-lint
-allowance; like the queue's, they are operational pacing that never
-reaches content.
+Leases here live on :func:`time.perf_counter`: deadlines are never
+compared across machines — the coordinator stamps them when frames
+*arrive* — so no wall clock is needed.  The worker-side dial/backoff
+sleeps are this module's one determinism-lint allowance: operational
+pacing that never reaches content.
 """
 
 from __future__ import annotations
@@ -75,14 +72,17 @@ from ..canon import stable_digest
 from .cache import ArtifactCache
 from .dist import (
     DEFAULT_LEASE_S,
-    DEFAULT_POLL_S,
-    FleetCoordinator,
-    FleetWorker,
+    classify_lease,
+    heartbeat,
+    job_document,
     join_workers,
     lease_document,
+    merge_job_results,
+    now_s,
     spawn_workers,
 )
-from .transport import AttemptOutcome
+from .executor import execute_job
+from .transport import AttemptOutcome, ShardTransport, envelope_outcome
 
 #: Frame kinds, in protocol order.
 FRAME_KINDS = ("HELLO", "JOB", "HEARTBEAT", "RESULT", "RETRACT")
@@ -98,6 +98,8 @@ BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
 #: Dial attempts before a worker gives the fleet up for dead.
 DEFAULT_RECONNECT_LIMIT = 8
+#: Default select cadence of the coordinator's poll loop.
+DEFAULT_POLL_S = 0.05
 
 
 class ProtocolError(Exception):
@@ -275,16 +277,24 @@ class _Peer:
         return bool(self.worker_id) and self.job_id is None
 
 
-class SocketTransport(FleetCoordinator):
+class SocketTransport(ShardTransport):
     """The coordinator's listening end, as a shard transport.
 
     Construction binds (``port=0`` picks an ephemeral port; read
-    :attr:`port` before spawning the fleet).  Dispatched jobs wait in
-    a pending deque that however many workers dial in steal from —
-    work stealing is the assignment loop.  All lease deadlines live on
+    :attr:`port` before spawning the fleet).  The transport itself is
+    the buffer: the supervisor dispatches the whole plan, and dispatched
+    jobs wait in a pending deque that however many workers dial in
+    steal from — work stealing is the assignment loop.  Every dispatch
+    is a :func:`~repro.runtime.dist.job_document` in :attr:`outstanding`
+    until a result envelope credits it (:meth:`_credit`) or its lease
+    lapses (:meth:`_reclaim_expired`).  All lease deadlines live on
     the coordinator's own monotonic clock, stamped when frames arrive,
-    so nothing is ever compared across machines.  An owned *fleet*
-    comes from :func:`spawn_socket_workers`.
+    so nothing is ever compared across machines.
+
+    *fleet*, when given, starts the worker processes the transport
+    owns (usually :func:`spawn_socket_workers`); it runs on the first
+    dispatch — a run served entirely from cache starts no fleet — and
+    ``close()`` stops and joins them.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -294,8 +304,19 @@ class SocketTransport(FleetCoordinator):
                  reclaim_grace_s: Optional[float] = None,
                  fleet: Optional[Callable[..., List["subprocess.Popen"]]]
                  = None) -> None:
-        super().__init__(lease_s, shard_timeout, poll_s, reclaim_grace_s,
-                         fleet)
+        self.lease_s = float(lease_s)
+        self.shard_timeout = shard_timeout
+        self.poll_s = poll_s
+        #: How long a fresh assignment may go unrenewed before it
+        #: counts as dead — covers a worker killed at the worst
+        #: possible instant.
+        self.reclaim_grace_s = reclaim_grace_s \
+            if reclaim_grace_s is not None else max(2.0 * self.lease_s, 1.0)
+        #: ticket -> dispatched job document.
+        self.outstanding: Dict[int, Dict[str, Any]] = {}
+        self._spawn = fleet
+        #: The worker processes this transport started.
+        self.fleet: List["subprocess.Popen"] = []
         self._pending: Deque[Dict[str, Any]] = deque()
         self._tickets: Dict[str, int] = {}         # job id -> ticket
         self._leases: Dict[str, Dict[str, Any]] = {}
@@ -322,12 +343,20 @@ class SocketTransport(FleetCoordinator):
 
     # -- interface ----------------------------------------------------
 
+    def slots(self) -> int:
+        return 1_000_000_000
+
     def dispatch(self, ticket: int, worker: str,
                  payload: Dict[str, Any], key: str = "",
                  label: str = "") -> None:
-        job = self._new_job(ticket, worker, payload, key, label)
+        job = job_document(ticket, worker, payload, key, label,
+                           self.shard_timeout, self.lease_s)
+        self.outstanding[ticket] = job
         self._tickets[job["job"]] = ticket
         self._pending.append(job)
+        if self._spawn is not None:
+            spawn, self._spawn = self._spawn, None
+            self.fleet = spawn(self)
 
     def poll(self, timeout_s: float) -> List[AttemptOutcome]:
         deadline = time.perf_counter() + timeout_s
@@ -544,52 +573,85 @@ class SocketTransport(FleetCoordinator):
                 job_id, peer.worker_id, now, now,
                 max(self.lease_s, self.reclaim_grace_s))
 
-    # -- the frame channel --------------------------------------------
+    # -- settling attempts --------------------------------------------
 
-    def _held(self, now: float) -> List[Tuple[Dict[str, Any],
-                                              Dict[str, Any]]]:
-        return [(self.outstanding[self._tickets[job_id]], lease)
-                for job_id, lease in sorted(self._leases.items())]
+    def _credit(self, envelopes: List[Any]) -> List[AttemptOutcome]:
+        """Outcomes for the envelopes that settle outstanding tickets
+        (:func:`~repro.runtime.dist.merge_job_results` decides which
+        do).  Only the tickets the envelopes name are looked up: the
+        merge reads no others."""
+        expected: Dict[str, Dict[str, Any]] = {}
+        for envelope in envelopes:
+            ticket = envelope.get("ticket") \
+                if isinstance(envelope, dict) else None
+            if type(ticket) is int and ticket in self.outstanding:
+                expected[str(ticket)] = self.outstanding[ticket]
+        outcomes: List[AttemptOutcome] = []
+        for envelope in merge_job_results(envelopes, expected):
+            job = self.outstanding.pop(envelope["ticket"])
+            self._release(job["job"])
+            outcomes.append(envelope_outcome(envelope))
+        return outcomes
+
+    def _reclaim_expired(self, now: float) -> List[AttemptOutcome]:
+        """Expired leases become ``crash``/``hang`` attempt outcomes
+        (:func:`~repro.runtime.dist.classify_lease`), in job order.
+
+        A still-connected carrier gets ``RETRACT`` and keeps its busy
+        mark — it is wedged inside (or still grinding on) the
+        retracted attempt, and handing it new work would queue frames
+        behind a possibly-hung compute.  It becomes assignable again
+        when its late RESULT arrives (and is dropped as stale) or when
+        it disconnects.
+        """
+        outcomes: List[AttemptOutcome] = []
+        for job_id, lease in sorted(self._leases.items()):
+            job = self.outstanding[self._tickets[job_id]]
+            outcome = classify_lease(job, lease, now)
+            if outcome is None:
+                continue
+            del self.outstanding[job["ticket"]]
+            peer = self._carrier.get(job_id)
+            self._release(job_id)
+            if peer is not None and peer in self._peers:
+                try:
+                    self._send(peer, "RETRACT", {"job": job_id})
+                except OSError:
+                    self._drop_peer(peer)
+            self._stats["jobs_reclaimed"] += 1
+            outcomes.append(outcome)
+        return outcomes
 
     def _release(self, job_id: str) -> None:
+        """Forget a settled or reclaimed job's lease and carrier."""
         self._tickets.pop(job_id, None)
         self._leases.pop(job_id, None)
         self._carrier.pop(job_id, None)
-
-    def _retract(self, job_id: str) -> None:
-        """Reclaim a lapsed job: RETRACT it from a still-connected
-        carrier, which keeps its busy mark — it is wedged inside (or
-        still grinding on) the retracted attempt, and handing it new
-        work would queue frames behind a possibly-hung compute.  It
-        becomes assignable again when its late RESULT arrives (and is
-        dropped as stale) or when it disconnects."""
-        peer = self._carrier.get(job_id)
-        self._release(job_id)
-        if peer is not None and peer in self._peers:
-            try:
-                self._send(peer, "RETRACT", {"job": job_id})
-            except OSError:
-                self._drop_peer(peer)
-        self._stats["jobs_reclaimed"] += 1
 
 
 # ---------------------------------------------------------------------------
 # the worker side (`repro worker --connect`)
 # ---------------------------------------------------------------------------
 
-class SocketWorker(FleetWorker):
+class SocketWorker:
     """One dial → HELLO → compute → RESULT loop against a coordinator.
 
-    The compute path is the queue worker's, verbatim
-    (:class:`~repro.runtime.dist.FleetWorker`): cache-first by shard
-    key, a heartbeat that goes silent once the shard's budget is spent,
-    a broad-except firewall whose exception *name* the coordinator
-    classifies.  What is new is survival of the wire (with
-    ``connect``/``disconnect``/``reconnect`` worker events): a
-    connection lost mid-compute does not lose the attempt — the worker
-    finishes, redials with capped deterministic backoff,
-    re-``HELLO``\\ s with its claim, and resends the result (a
-    duplicate is dropped coordinator-side by ``merge_job_results``).
+    Workers are interchangeable and stateless between jobs: everything
+    durable lives in the coordinator and the artifact cache, so any
+    number can join or die at any time.  A worker never decides a
+    shard's fate — it reports, the coordinator disposes.  The compute
+    step is :func:`~repro.runtime.executor.execute_job` (cache-first
+    by shard key, a broad-except firewall whose exception *name* the
+    coordinator classifies) under a
+    :func:`~repro.runtime.dist.heartbeat` that goes silent once the
+    shard's budget is spent.
+
+    The worker survives the wire (with ``connect``/``disconnect``/
+    ``reconnect`` worker events): a connection lost mid-compute does
+    not lose the attempt — the worker finishes, redials with capped
+    deterministic backoff, re-``HELLO``\\ s with its claim, and resends
+    the result (a duplicate is dropped coordinator-side by
+    ``merge_job_results``).
     """
 
     def __init__(self, host: str, port: int, worker_id: str,
@@ -600,7 +662,11 @@ class SocketWorker(FleetWorker):
                  backoff_base_s: float = BACKOFF_BASE_S,
                  backoff_cap_s: float = BACKOFF_CAP_S,
                  recv_timeout_s: float = 0.5) -> None:
-        super().__init__(worker_id, cache, events)
+        self.worker_id = worker_id
+        self.cache = cache
+        #: Optional :class:`repro.monitor.events.EventLogWriter`;
+        #: receives ``worker`` lifecycle events (telemetry, not content).
+        self.events = events
         self.host = host
         self.port = port
         self.reconnect_limit = max(0, reconnect_limit)
@@ -715,10 +781,24 @@ class SocketWorker(FleetWorker):
 
     def _execute(self, sock: socket.socket, lock: threading.Lock,
                  job: Dict[str, Any]) -> bool:
-        """Run one job; returns False when the RESULT could not be
-        sent (it is stashed for delivery after the next HELLO)."""
-        envelope = self._run_job(
-            job, lambda _renewal: self._renew(sock, lock, job))
+        """Run one job while a heartbeat thread renews its lease;
+        returns False when the RESULT could not be sent (it is stashed
+        for delivery after the next HELLO)."""
+        label = job.get("label") or job.get("job") or ""
+        self._emit("claim", label)
+        stop = threading.Event()
+        beat = threading.Thread(
+            target=heartbeat,
+            args=(job, lambda _renewal: self._renew(sock, lock, job), stop),
+            daemon=True)
+        beat.start()
+        try:
+            envelope = execute_job(job, self.cache, self.worker_id)
+        finally:
+            stop.set()
+            beat.join(timeout=1.0)
+        self._emit("done" if envelope["outcome"] == "ok" else "error",
+                   label)
         try:
             self._send(sock, lock, "RESULT", envelope)
         except OSError:
@@ -748,6 +828,11 @@ class SocketWorker(FleetWorker):
                 sock.sendall(data)
             finally:
                 sock.settimeout(self.recv_timeout_s)
+
+    def _emit(self, state: str, shard: str) -> None:
+        if self.events is not None:
+            self.events.append("worker", ts=int(now_s()), data={
+                "worker": self.worker_id, "state": state, "shard": shard})
 
 
 # ---------------------------------------------------------------------------

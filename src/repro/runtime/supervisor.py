@@ -9,7 +9,7 @@
   moment it arrives, so a run interrupted by anything (SIGKILL
   included) resumes for free from the cache;
 * **per-shard wall-clock timeouts** — a hung worker is killed (pipe
-  pool) or its lease reclaimed (job queue, socket fleet), and the
+  pool) or its lease reclaimed (socket fleet), and the
   shard retried;
 * **bounded retries with deterministic classification** — a failed
   attempt is classified via :mod:`repro.faults.classify`:
@@ -32,8 +32,8 @@ transport owns **mechanism**.  Every transport computes a shard
 through the one execute step
 (:func:`~repro.runtime.executor.execute_job`) and reports it through
 the one envelope conversion
-(:func:`~repro.runtime.transport.envelope_outcome`); the fleets
-additionally share one heartbeat and one lease-expiry step
+(:func:`~repro.runtime.transport.envelope_outcome`); the socket fleet
+adds a heartbeat and a pure lease-expiry step
 (:mod:`repro.runtime.dist`).  Without an injected transport each run
 gets :func:`~repro.runtime.transport.local_transport`: in-process for
 one worker without a shard timeout, otherwise the pipe pool.

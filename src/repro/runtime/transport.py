@@ -6,7 +6,7 @@ and delegates *mechanism* to a :class:`ShardTransport`: something that
 can take dispatched attempts and eventually report, for each, one
 :class:`AttemptOutcome` (``ok`` / ``error`` / ``crash`` / ``hang``).
 
-Four implementations exist, and every one computes a shard through
+Three implementations exist, and every one computes a shard through
 the same :func:`~repro.runtime.executor.execute_job` step and credits
 its result envelope through the same :func:`envelope_outcome`:
 
@@ -15,15 +15,11 @@ its result envelope through the same :func:`envelope_outcome`:
 * :class:`PipePoolTransport` (here) — a per-host pool of worker
   processes talking over pipes, with EOF crash detection, per-shard
   wall-clock timeouts, and lazy worker spawning;
-* :class:`~repro.runtime.dist.JobQueueTransport` — a filesystem-backed
-  job queue where independent ``repro worker`` processes (potentially
-  on many hosts sharing the queue and artifact-cache directories)
-  claim shards via atomic-rename leases;
-* :class:`~repro.runtime.sock.SocketTransport` — the same job/lease/
-  envelope documents over framed TCP for fleets without a shared
-  filesystem: workers dial in with ``repro worker --connect``, leases
-  are heartbeat frames, and a hostile wire degrades to typed protocol
-  errors, never divergent bytes.
+* :class:`~repro.runtime.sock.SocketTransport` — a multi-host fleet
+  over framed TCP, with no shared filesystem: ``repro worker
+  --connect`` workers dial in, job and envelope documents ride as
+  frames, leases are renewed by heartbeat frames, and a hostile wire
+  degrades to typed protocol errors, never divergent bytes.
 
 The contract that keeps every topology byte-identical: transports move
 *attempts*, never *content*.  A transport may reorder, retry-signal,
@@ -56,7 +52,7 @@ class AttemptOutcome:
     ``ticket`` echoes the dispatch ticket, ``outcome`` is one of
     :data:`ATTEMPT_OUTCOMES`; ``rows`` is set for ``ok``, ``type_name``
     / ``message`` for the rest.  ``owner`` names the worker that
-    carried the attempt (pool slot or queue worker id) — provenance
+    carried the attempt (pool slot or fleet worker id) — provenance
     for the monitor's lifecycle events, never content.
     """
 

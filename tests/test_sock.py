@@ -1,8 +1,13 @@
-"""Tests for the TCP socket shard transport (repro.runtime.sock) and
-its deterministic network-fault chaos (repro.runtime.netchaos).
+"""Tests for the TCP socket shard transport (repro.runtime.sock), the
+lease table it runs on (repro.runtime.dist), and its deterministic
+network-fault chaos (repro.runtime.netchaos).
 
-Four layers, in increasing realism:
+Five layers, in increasing realism:
 
+* the pure lease-table functions (merge and classify contracts) —
+  shape, determinism, the envelope-validation rules that make stale
+  zombies inert, and the lease-expiry step that tells a crash from a
+  hang;
 * the pure frame codec — round trips, byte-at-a-time reassembly, and
   the typed protocol errors (junk, torn, oversized) that make a
   hostile byte stream a *connection* problem, never a campaign
@@ -14,9 +19,10 @@ Four layers, in increasing realism:
   merging to one outcome, junk costing exactly one connection, and
   expired leases classifying as crash vs hang;
 * end-to-end campaigns — the acceptance contract: serial == pipe ==
-  job queue == socket, byte-identical, including fleets behind a
-  resetting/reordering/truncating chaos proxy and a SIGKILLed real
-  ``repro worker --connect`` subprocess.
+  socket, byte-identical, including fleets behind a
+  resetting/reordering/truncating chaos proxy, a coordinator that
+  dies mid-campaign, and SIGKILLed or hung real ``repro worker
+  --connect`` subprocesses.
 """
 
 from __future__ import annotations
@@ -34,19 +40,27 @@ from repro.runtime import (
     ArtifactCache,
     CorpusRunConfig,
     FrameBuffer,
-    QueueWorker,
     SocketTransport,
     SocketWorker,
     SupervisedExecutor,
     connect_backoff,
     job_document,
+    merge_job_results,
     parse_address,
     resolve_worker,
     run_experiment,
     spawn_socket_workers,
 )
 from repro.runtime.chaos import chaos_wrap
-from repro.runtime.dist import classify_expiry, join_workers
+from repro.runtime.dist import (
+    classify_expiry,
+    classify_lease,
+    heartbeat,
+    job_name,
+    join_workers,
+    lease_document,
+)
+from repro.runtime.executor import execute_job
 from repro.runtime.netchaos import (
     PASS,
     ChaosPlan,
@@ -100,6 +114,114 @@ def make_transport(**kwargs):
     kwargs.setdefault("poll_s", POLL_S)
     kwargs.setdefault("reclaim_grace_s", LEASE_S)
     return SocketTransport("127.0.0.1", 0, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# pure lease-table functions
+# ---------------------------------------------------------------------------
+
+class TestProtocolFunctions:
+    def test_job_names_sort_in_ticket_order(self):
+        names = [job_name(ticket, "abcdef0123456789") for ticket in
+                 (0, 2, 10, 999)]
+        assert names == sorted(names)
+        assert job_name(3) == "00000003-nokey"
+
+    def test_job_document_is_deterministic(self):
+        a = job_document(4, "m:f", {"x": 1}, key="k" * 32, label="s4")
+        b = job_document(4, "m:f", {"x": 1}, key="k" * 32, label="s4")
+        assert a == b
+        assert a["job"] == job_name(4, "k" * 32)
+        assert a["digest"] == job_document(9, "m:f", {"x": 1})["digest"]
+        assert a["digest"] != job_document(4, "m:f", {"x": 2})["digest"]
+
+    def test_merge_drops_invalid_envelopes(self):
+        document = job_document(7, "m:f", {"x": 1}, key="k" * 32)
+        expected = {"7": document}
+        good = {"job": document["job"], "ticket": 7,
+                "digest": document["digest"], "outcome": "ok",
+                "rows": [{"r": 1}], "owner": "w0"}
+        stale = dict(good, ticket=6)                      # retired ticket
+        wrong_job = dict(good, job="00000099-zzz")        # job echo mismatch
+        wrong_digest = dict(good, digest="0" * 16)        # payload mismatch
+        no_rows = {k: v for k, v in good.items() if k != "rows"}
+        bad_outcome = dict(good, outcome="maybe")
+        merged = merge_job_results(
+            [stale, wrong_job, wrong_digest, no_rows, bad_outcome,
+             "not-a-dict", good], expected)
+        assert merged == [good]
+
+    def test_merge_duplicates_resolve_deterministically(self):
+        document = job_document(3, "m:f", {"x": 1}, key="k" * 32)
+        expected = {"3": document}
+        base = {"job": document["job"], "ticket": 3,
+                "digest": document["digest"]}
+        ok_b = dict(base, outcome="ok", rows=[{"r": 1}], owner="wb")
+        ok_a = dict(base, outcome="ok", rows=[{"r": 1}], owner="wa")
+        error = dict(base, outcome="error", type="ValueError",
+                     message="boom", owner="wc")
+        # ok sorts before error; owner breaks the ok-vs-ok tie.
+        assert merge_job_results([error, ok_b, ok_a], expected) == [ok_a]
+        assert merge_job_results([ok_a, error, ok_b], expected) == [ok_a]
+
+
+class TestLeaseStep:
+    """The pure lease-expiry step the coordinator reclaims through."""
+
+    JOB = job_document(3, "m:f", {"x": 1}, timeout=1.0)
+
+    def test_live_lease_owes_nothing(self):
+        lease = lease_document("j", "w", 10.0, 10.0, 0.5)
+        assert classify_lease(self.JOB, lease, 10.25) is None
+
+    def test_expiry_under_budget_is_a_crash(self):
+        lease = lease_document("j", "w", 10.0, 10.0, 0.5)
+        outcome = classify_lease(self.JOB, lease, 10.5)
+        assert (outcome.ticket, outcome.outcome, outcome.owner) \
+            == (3, "crash", "w")
+        assert outcome.message == "lease expired (owner w) after 0.50s"
+        assert outcome.elapsed_ms == pytest.approx(500.0)
+
+    def test_expiry_at_or_after_budget_is_a_hang(self):
+        lease = lease_document("j", "w", 10.0, 10.5, 0.5)
+        assert classify_lease(self.JOB, lease, 11.0).outcome == "hang"
+        assert classify_lease(self.JOB, lease, 12.0).outcome == "hang"
+        unbounded = job_document(3, "m:f", {"x": 1})
+        assert classify_lease(unbounded, lease, 12.0).outcome == "crash"
+
+    def test_unleased_claim_holds_an_ownerless_grace_lease(self):
+        grace = lease_document("j", "", 10.0, 10.0, 2.0)
+        job = job_document(3, "m:f", {"x": 1})
+        assert classify_lease(job, grace, 11.9) is None
+        outcome = classify_lease(job, grace, 12.0)
+        assert (outcome.outcome, outcome.owner) == ("crash", "")
+        assert "never leased" in outcome.message
+
+    def test_renewals_extend_the_deadline(self):
+        first = lease_document("j", "w", 10.0, 10.0, 0.5)
+        renewed = lease_document("j", "w", 10.0, 10.4, 0.5, renewals=1)
+        assert classify_lease(self.JOB, first, 10.6) is not None
+        assert classify_lease(self.JOB, renewed, 10.6) is None
+        assert renewed["claimed_at"] == first["claimed_at"]
+        # The claim's age, not the renewal's, decides crash vs hang.
+        assert classify_lease(self.JOB, renewed, 10.9).elapsed_ms \
+            == pytest.approx(900.0)
+
+
+class TestHeartbeat:
+    def test_stops_renewing_once_renew_fails(self):
+        """A failed renewal (the connection died, the claim was
+        retracted) ends the loop: renewing again would only fight the
+        reclaim."""
+        calls = []
+
+        def renew(renewal):
+            calls.append(renewal)
+            return renewal < 2
+
+        job = job_document(0, "m:f", {}, lease_s=0.15)
+        heartbeat(job, renew, threading.Event())  # returns on its own
+        assert calls == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +644,32 @@ class TestCoordinatorProtocol:
         finally:
             transport.close()
 
+    def test_renewed_lease_survives_slow_compute(self, tmp_path):
+        """Heartbeat renewal racing reclaim: a shard that computes for
+        many lease periods is never reclaimed while its worker lives.
+        The chaos hang keeps the worker busy 4+ leases, then raises a
+        transient error — which must arrive as an ``error`` envelope,
+        not a lease-expiry ``crash``."""
+        transport = make_transport()  # no shard_timeout
+        spec = chaos_wrap(plain_specs()[0], "hang", 1,
+                          str(tmp_path / "scratch"), hang_s=4 * LEASE_S)
+        transport.dispatch(0, spec.worker, spec.payload, spec.key(),
+                           spec.label)
+        worker = SocketWorker(transport.host, transport.port, "w0",
+                              cache=ArtifactCache(enabled=False),
+                              recv_timeout_s=0.05)
+        thread = threading.Thread(target=worker.run,
+                                  kwargs={"max_jobs": 1}, daemon=True)
+        thread.start()
+        try:
+            outcome, = poll_until(transport, 1)
+        finally:
+            transport.close()
+            thread.join(timeout=5.0)
+        assert outcome.outcome == "error"
+        assert outcome.type_name == "TransientShardError"
+        assert transport.stats()["jobs_reclaimed"] == 0
+
     def test_classify_expiry_is_the_shared_rule(self):
         assert classify_expiry(0.5, None) == "crash"
         assert classify_expiry(0.5, 1.0) == "crash"
@@ -646,6 +794,37 @@ class TestSupervisedSocket:
             "states": {"connect": 1, "disconnect": 1}, "shards": 0}
         assert final["reconnects"] == 0
 
+    def test_coordinator_death_mid_campaign_resumes(self, tmp_path,
+                                                    baseline):
+        """A coordinator dies after two shards landed; a successor on a
+        fresh port restores those two from the cache and completes the
+        campaign to the same bytes."""
+        specs = plain_specs()
+        cache = ArtifactCache(root=str(tmp_path / "cache"))
+        first = make_transport()
+        for ticket, spec in enumerate(specs[:2]):
+            first.dispatch(ticket, spec.worker, spec.payload, spec.key(),
+                           spec.label)
+        worker = SocketWorker(first.host, first.port, "w0", cache=cache,
+                              recv_timeout_s=0.05)
+        thread = threading.Thread(target=worker.run,
+                                  kwargs={"max_jobs": 2}, daemon=True)
+        thread.start()
+        try:
+            assert [o.outcome for o in poll_until(first, 2)] == \
+                ["ok", "ok"]
+            thread.join(timeout=10.0)
+            # The coordinator "dies" here: it never polls again, and
+            # its successor inherits nothing but the artifact cache.
+            (outputs, _records), executor, _t = self.run_supervised(
+                tmp_path, specs)
+        finally:
+            first.close()
+        assert output_bytes(outputs) == baseline
+        outcomes = [state.outcome for state in executor.manifest_shards]
+        assert outcomes.count("cached") == 2
+        assert outcomes.count("computed") == 4
+
     def test_mid_compute_disconnect_resumes_with_the_result(
             self, tmp_path, baseline):
         """A reset-heavy wire forces reconnect-and-resume: results
@@ -662,20 +841,18 @@ class TestSupervisedSocket:
 
 
 # ---------------------------------------------------------------------------
-# the worker loop and fleet lifecycle both fleets share
+# the worker's execute step and the owned fleet's lifecycle
 # ---------------------------------------------------------------------------
 
 class TestSharedFleetMachinery:
     @pytest.mark.parametrize("worker", ["good", "no.such.module:worker"])
-    def test_queue_and_socket_workers_send_identical_envelopes(
-            self, tmp_path, worker):
-        """One execute step: the same job yields the same envelope
-        whether it was claimed from a directory or sent as a frame."""
+    def test_worker_sends_the_execute_job_envelope(self, worker):
+        """One execute step: the RESULT frame a socket worker sends is
+        the envelope :func:`execute_job` returns for the same job."""
         spec = plain_specs()[0]
         ref = spec.worker if worker == "good" else worker
         job = job_document(0, ref, spec.payload, spec.key(), spec.label)
-        queued = QueueWorker(str(tmp_path / "queue"), "same",
-                             cache=ArtifactCache(enabled=False)).execute(job)
+        direct = execute_job(job, ArtifactCache(enabled=False), "same")
         coordinator_end, worker_end = socket.socketpair()
         try:
             sock_worker = SocketWorker("127.0.0.1", 0, "same",
@@ -690,14 +867,13 @@ class TestSharedFleetMachinery:
             worker_end.close()
         (kind, sent), = frames
         assert kind == "RESULT"
-        for envelope in (queued, sent):
+        for envelope in (direct, sent):
             assert envelope.pop("elapsed_ms") >= 0.0
-        assert sent == queued
+        assert sent == direct
         assert sent["outcome"] == ("ok" if worker == "good" else "error")
 
-    @pytest.mark.parametrize("transport", ["jobqueue", "socket"])
     def test_all_cached_fleet_run_starts_no_workers(self, tmp_path,
-                                                    monkeypatch, transport):
+                                                    monkeypatch):
         """The owned fleet starts on the first dispatch, so a run served
         entirely from cache never spawns (or waits on) a worker."""
         cache_dir = str(tmp_path / "cache")
@@ -712,8 +888,7 @@ class TestSharedFleetMachinery:
 
         monkeypatch.setattr(subprocess, "Popen", counting_popen)
         warm = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
-                              workers=2, transport=transport,
-                              queue_dir=str(tmp_path / "queue"),
+                              workers=2, transport="socket",
                               cache_dir=cache_dir)
         assert started == []
         assert warm.cache_status == "hit"
@@ -730,25 +905,20 @@ def result_doc(result):
 
 
 class TestEndToEndSocketFleet:
-    def test_serial_pipe_jobqueue_socket_byte_identity(self, tmp_path):
-        """The acceptance contract, now four ways: the same experiment
-        through serial, the pipe pool, the filesystem job queue, and
-        the TCP socket fleet merges to identical bytes."""
+    def test_serial_pipe_socket_byte_identity(self, tmp_path):
+        """The acceptance contract: the same experiment through
+        serial, the pipe pool, and a 3-process TCP socket fleet merges
+        to identical bytes."""
         serial = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                                 cache=False)
         pipe = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                               workers=3,
                               cache_dir=str(tmp_path / "pipe-cache"))
-        queue = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
-                               workers=3, transport="jobqueue",
-                               queue_dir=str(tmp_path / "queue"),
-                               cache_dir=str(tmp_path / "queue-cache"))
         sock = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                               workers=3, transport="socket",
                               listen="127.0.0.1:0",
                               cache_dir=str(tmp_path / "sock-cache"))
-        assert result_doc(serial) == result_doc(pipe) \
-            == result_doc(queue) == result_doc(sock)
+        assert result_doc(serial) == result_doc(pipe) == result_doc(sock)
         assert sock.manifest is not None and sock.manifest.complete
         assert sock.manifest.computed == 6
         assert sock.provenance.workers == 3
@@ -781,6 +951,33 @@ class TestEndToEndSocketFleet:
         assert [a.outcome for a in state.attempts] == ["crash", "ok"]
         assert "lease expired" in state.attempts[0].error
 
+    def test_hung_worker_lease_expires_and_recovers(self, tmp_path,
+                                                    baseline):
+        """Chaos hang inside a real `repro worker --connect` process:
+        the heartbeat stops renewing once the shard's budget is spent,
+        the lease expires, and the reclaim reports a hang; the retry
+        lands on another worker."""
+        specs = plain_specs()
+        specs[2] = chaos_wrap(specs[2], "hang", 1,
+                              str(tmp_path / "scratch"), hang_s=30.0)
+        cache = ArtifactCache(root=str(tmp_path / "cache"))
+        transport = SocketTransport("127.0.0.1", 0, lease_s=0.5,
+                                    shard_timeout=1.0, poll_s=POLL_S,
+                                    reclaim_grace_s=2.0)
+        workers = spawn_socket_workers(transport.host, transport.port,
+                                       3, cache_dir=cache.root)
+        try:
+            executor = SupervisedExecutor(cache=cache,
+                                          transport=transport,
+                                          max_retries=2, shard_timeout=1.0)
+            outputs, _records = executor.run(specs)
+        finally:
+            transport.close()
+            join_workers(workers, timeout_s=2.0)  # one is asleep: kill it
+        assert output_bytes(outputs) == baseline
+        state = executor.manifest_shards[2]
+        assert [a.outcome for a in state.attempts] == ["hang", "ok"]
+
     def test_run_cli_socket_end_to_end(self, tmp_path, capsys):
         """`repro run --transport socket` end to end through main()."""
         from repro.cli import main
@@ -798,10 +995,11 @@ class TestEndToEndSocketFleet:
                      "--listen", "nocolon"]) == 2
         assert "--listen" in capsys.readouterr().err
 
-    def test_worker_cli_requires_exactly_one_transport(self, capsys):
+    def test_worker_cli_requires_connect(self, capsys):
         from repro.cli import main
-        assert main(["worker"]) == 2
-        err = capsys.readouterr().err
-        assert "--queue-dir" in err and "--connect" in err
-        assert main(["worker", "--queue-dir", "q",
-                     "--connect", "h:1"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["worker"])
+        assert exited.value.code == 2
+        assert "--connect" in capsys.readouterr().err
+        assert main(["worker", "--connect", "nocolon"]) == 2
+        assert "not host:port" in capsys.readouterr().err

@@ -1,11 +1,10 @@
-"""Transport conformance suite: one contract, four mechanisms.
+"""Transport conformance suite: one contract, three mechanisms.
 
 :class:`~repro.runtime.transport.ShardTransport` is the seam that
 keeps every topology byte-identical — the supervisor owns policy, the
 transport moves attempts.  This suite drives the *same* obligations
-through all four implementations (pipe pool, filesystem job queue,
-TCP socket fleet, in-process), each behind the worker harness it
-needs:
+through all three implementations (pipe pool, TCP socket fleet,
+in-process), each behind the worker harness it needs:
 
 * ``slots()`` is positive on a fresh transport;
 * every dispatched ticket is owed exactly one outcome, tagged with a
@@ -34,13 +33,10 @@ from repro.datasets import CorpusConfig
 from repro.runtime import (
     ArtifactCache,
     CorpusRunConfig,
-    JobQueueTransport,
     PipePoolTransport,
-    QueueWorker,
     SocketTransport,
     SocketWorker,
 )
-from repro.runtime.dist import stop_workers
 from repro.runtime.sharding import corpus_shards
 from repro.runtime.transport import ATTEMPT_OUTCOMES, InProcessTransport
 
@@ -49,7 +45,7 @@ CORPUS_CONFIG = CorpusRunConfig(corpus=CorpusConfig(size=32, seed=13),
                                 shards=4)
 POLL_S = 0.02
 
-TRANSPORTS = ("pipe", "jobqueue", "socket", "inprocess")
+TRANSPORTS = ("pipe", "socket", "inprocess")
 
 
 def specs():
@@ -59,21 +55,12 @@ def specs():
 class Harness:
     """One transport plus whatever worker machinery it needs."""
 
-    def __init__(self, kind: str, tmp_path, fleet: int = 1):
+    def __init__(self, kind: str, fleet: int = 1):
         self.kind = kind
         self._threads: List[threading.Thread] = []
-        self._queue_dir = str(tmp_path / "queue")
         self._workers: List[SocketWorker] = []
         if kind == "pipe":
             self.transport = PipePoolTransport(workers=fleet)
-        elif kind == "jobqueue":
-            self.transport = JobQueueTransport(
-                self._queue_dir, lease_s=0.5, poll_s=POLL_S)
-            for index in range(fleet):
-                worker = QueueWorker(self._queue_dir, f"cw{index}",
-                                     poll_s=POLL_S,
-                                     cache=ArtifactCache(enabled=False))
-                self._start(worker.run)
         elif kind == "socket":
             self.transport = SocketTransport("127.0.0.1", 0,
                                              lease_s=0.5, poll_s=POLL_S)
@@ -116,18 +103,15 @@ class Harness:
         return outcomes
 
     def close(self):
-        # Socket first broadcasts stop; jobqueue needs the marker
-        # before the transport's directory goes away.
-        if self.kind == "jobqueue":
-            stop_workers(self._queue_dir)
+        # The socket transport's close broadcasts stop to its workers.
         self.transport.close()
         for thread in self._threads:
             thread.join(timeout=10.0)
 
 
 @pytest.fixture(params=TRANSPORTS)
-def harness(request, tmp_path):
-    built = Harness(request.param, tmp_path)
+def harness(request):
+    built = Harness(request.param)
     yield built
     built.close()
 

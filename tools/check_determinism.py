@@ -23,11 +23,12 @@ Documented exceptions go in :data:`ALLOWLIST` as
 :func:`repro.crypto.rsa.generate_keypair` (every reproducible caller
 overrides it with a seed), the two fault-injection primitives of
 :mod:`repro.runtime.chaos` — the crash/hang injections are the tested
-behaviour there, not an escape hatch — and the job-queue transport of
-:mod:`repro.runtime.dist`, whose lease deadlines and worker polling
-are *operational* wall-clock mechanics: the determinism contract holds
-because the queue moves attempts, never content (merged bytes depend
-only on the shard plan and the artifact cache keys).
+behaviour there, not an escape hatch — the runtime's one wall-clock
+read in :mod:`repro.runtime.dist`, which stamps worker events and
+serves ``repro cache gc --max-age``, and the socket workers' dial
+backoff in :mod:`repro.runtime.sock`.  None of these reaches content:
+merged bytes depend only on the shard plan and the artifact cache
+keys.
 
 Usage: ``python tools/check_determinism.py [root]`` (default:
 ``src/repro`` relative to the repository root).  Exit code 0 when
@@ -63,12 +64,11 @@ ALLOWLIST: Tuple[Tuple[str, str], ...] = (
     # markers and confined to worker processes under supervision.
     ("runtime/chaos.py", "os._exit()"),
     ("runtime/chaos.py", "time.sleep()"),
-    # The filesystem job queue is the one place the runtime touches the
-    # wall clock: lease deadlines must be comparable across machines,
-    # and idle workers sleep between polls.  Timing never reaches
-    # content — results merge by ticket into cache-keyed artifacts.
+    # now_s() is the runtime's one wall-clock read: it stamps worker
+    # events and serves `repro cache gc --max-age`.  Socket leases live
+    # on perf_counter, and timing never reaches content — results merge
+    # by ticket into cache-keyed artifacts.
     ("runtime/dist.py", "time.time()"),
-    ("runtime/dist.py", "time.sleep()"),
     # The socket transport's worker-side dial/backoff sleeps are the
     # same operational pacing: lease deadlines themselves live on the
     # coordinator's perf_counter (never compared across machines), and

@@ -1,45 +1,39 @@
 #!/usr/bin/env python3
-"""Distributed-runtime smoke test: a 3-worker campaign degraded
-mid-run must complete and merge byte-identical to an undisturbed
-serial run.
+"""Distributed-runtime smoke test: a 3-worker socket-fleet campaign
+degraded mid-run must complete and merge byte-identical to an
+undisturbed serial run.
 
-Two transports, one contract:
+The fleet degrades the way a real one does, through a hostile wire:
+every worker connects through a ``repro.runtime.netchaos.ChaosProxy``
+running the deterministic ``reset`` plan (connections RST
+mid-conversation at seeded frame indices), and two hosts fail
+outright:
 
-``--transport jobqueue`` (default) exercises the lease-reclaim path of
-``repro.runtime.dist.JobQueueTransport`` the way a real fleet
-degrades: one host dies outright (SIGKILL — no signal handlers, no
-cleanup, the claim and lease just stop being renewed) and one host
-wedges (SIGSTOP — the process is alive but its heartbeat thread is
-frozen, so the lease expires exactly as a dead host's does).
+* one worker dies (SIGKILL — no signal handlers, no cleanup, its
+  connection drops and its lease stops being renewed);
+* one worker wedges (SIGSTOP — the process is alive and its socket
+  open, but its heartbeat thread is frozen, so its lease expires
+  exactly as a dead host's does).
 
-``--transport socket`` exercises ``repro.runtime.sock``'s TCP fleet
-through a hostile wire: every worker connects through a
-``repro.runtime.netchaos.ChaosProxy`` running the deterministic
-``reset`` plan (connections RST mid-conversation at seeded frame
-indices), and one worker is additionally SIGKILLed mid-campaign.
-Workers must reconnect-and-resume; the coordinator must reclaim the
-dead worker's lease and reissue its job.
-
-Either way the coordinator reclaims what stops heartbeating, the
-surviving workers steal the work, and the merged result must not bear
-a single byte of evidence that topology or fault order changed
-mid-campaign.
+Workers must reconnect-and-resume through the resets; the coordinator
+must reclaim both faulted workers' leases and reissue their jobs to
+the survivor; and the merged result must not bear a single byte of
+evidence that topology or fault order changed mid-campaign.
 
 Steps:
 
-1. start three ``repro worker`` processes (``--queue-dir`` against a
-   fresh queue, or ``--connect`` through the chaos proxy);
-2. start ``repro run fig3 --transport {jobqueue,socket} --no-spawn``;
-3. once shards start landing in the cache, SIGKILL one worker (and,
-   jobqueue only, SIGSTOP another);
-4. require the run to complete successfully on the surviving workers;
-5. run the undisturbed serial baseline with the cache disabled and
+1. start ``repro run fig3 --transport socket --no-spawn``, a chaos
+   proxy in front of it, and three ``repro worker --connect``
+   processes dialing through the proxy;
+2. once shards start landing in the cache, SIGKILL one worker and
+   SIGSTOP another;
+3. require the run to complete successfully on the surviving worker;
+4. run the undisturbed serial baseline with the cache disabled and
    compare ``rows`` / ``series`` / ``summary`` exactly;
-6. verify the shared cache's integrity, then stop and reap the fleet.
+5. verify the shared cache's integrity, then stop and reap the fleet.
 
-Usage: ``python tools/dist_smoke.py [--transport jobqueue|socket]
-[scratch_dir]`` (default scratch: ``.dist-smoke``; the directory is
-wiped first).  Exit 0 on success.
+Usage: ``python tools/dist_smoke.py [scratch_dir]`` (default scratch:
+``.dist-smoke``; the directory is wiped first).  Exit 0 on success.
 """
 
 from __future__ import annotations
@@ -95,15 +89,14 @@ def _result_doc(stdout: str) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scratch", nargs="?", default=".dist-smoke")
-    parser.add_argument("--transport", choices=["jobqueue", "socket"],
-                        default="jobqueue")
     args = parser.parse_args()
 
     scratch = args.scratch
     shutil.rmtree(scratch, ignore_errors=True)
-    queue_dir = os.path.join(scratch, "queue")
     cache_dir = os.path.join(scratch, "cache")
-    os.makedirs(queue_dir, exist_ok=True)
+    os.makedirs(scratch, exist_ok=True)
+
+    from repro.runtime.netchaos import ChaosProxy, netchaos_plan
 
     proxy = None
     coordinator: Optional[subprocess.Popen] = None
@@ -111,79 +104,53 @@ def main() -> int:
     stopped: List[subprocess.Popen] = []
 
     try:
-        if args.transport == "jobqueue":
-            # 1+2. Fleet first (blocks on the queue dir), then the
-            # coordinator (no fleet of its own: --no-spawn).
-            for index in range(3):
-                workers.append(subprocess.Popen(
-                    [sys.executable, "-m", "repro", "worker",
-                     "--queue-dir", queue_dir, "--id", f"smoke-{index}",
-                     "--cache-dir", cache_dir, "--poll", "0.05"],
-                    env=_env(), stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL))
-            coordinator = subprocess.Popen(
-                [sys.executable, "-m", "repro", "run", "fig3",
-                 "--transport", "jobqueue", "--queue-dir", queue_dir,
-                 "--no-spawn", "--cache-dir", cache_dir,
-                 "--lease", "0.5", "--shard-timeout", "60",
-                 "--retries", "4", "--json"],
-                env=_env(), stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True)
-        else:
-            # 1+2. Coordinator first (it owns the listening socket),
-            # then a deterministic chaos proxy in front of it, then
-            # the fleet dialing through the proxy.  dial()'s bounded
-            # backoff absorbs the bind races on both hops.
-            from repro.runtime.netchaos import ChaosProxy, netchaos_plan
+        # 1. Coordinator first (it owns the listening socket), then a
+        # deterministic chaos proxy in front of it, then the fleet
+        # dialing through the proxy.  The workers' bounded dial
+        # backoff absorbs the bind races on both hops.
+        listen_port = _free_port()
+        coordinator = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "fig3",
+             "--transport", "socket",
+             "--listen", f"127.0.0.1:{listen_port}", "--no-spawn",
+             "--cache-dir", cache_dir,
+             "--lease", "0.5", "--shard-timeout", "60",
+             "--retries", "4", "--json"],
+            env=_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        proxy = ChaosProxy("127.0.0.1", listen_port,
+                           netchaos_plan("reset", CHAOS_SEED))
+        proxy.start()
+        for index in range(3):
+            workers.append(subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker",
+                 "--connect", f"127.0.0.1:{proxy.port}",
+                 "--id", f"smoke-{index}",
+                 "--cache-dir", cache_dir, "--reconnect", "12"],
+                env=_env(), stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL))
 
-            listen_port = _free_port()
-            coordinator = subprocess.Popen(
-                [sys.executable, "-m", "repro", "run", "fig3",
-                 "--transport", "socket",
-                 "--listen", f"127.0.0.1:{listen_port}", "--no-spawn",
-                 "--cache-dir", cache_dir,
-                 "--lease", "0.5", "--shard-timeout", "60",
-                 "--retries", "4", "--json"],
-                env=_env(), stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True)
-            proxy = ChaosProxy("127.0.0.1", listen_port,
-                               netchaos_plan("reset", CHAOS_SEED))
-            proxy.start()
-            for index in range(3):
-                workers.append(subprocess.Popen(
-                    [sys.executable, "-m", "repro", "worker",
-                     "--connect", f"127.0.0.1:{proxy.port}",
-                     "--id", f"sock-smoke-{index}",
-                     "--cache-dir", cache_dir, "--reconnect", "12"],
-                    env=_env(), stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL))
-
-        # 3. Fault injection once real work is landing.
+        # 2. Fault injection once real work is landing.
         deadline = time.time() + FAULT_WAIT_S
         while (time.time() < deadline and coordinator.poll() is None
                and _cache_entries(cache_dir) < ENTRIES_BEFORE_FAULTS):
             time.sleep(0.05)
         if coordinator.poll() is None:
             workers[0].send_signal(signal.SIGKILL)
-            if args.transport == "jobqueue":
-                workers[1].send_signal(signal.SIGSTOP)
-                stopped.append(workers[1])
-                print("faults injected: worker smoke-0 SIGKILLed, "
-                      "smoke-1 SIGSTOPped; smoke-2 must finish the "
-                      "campaign")
-            else:
-                print("faults injected: worker sock-smoke-0 SIGKILLed "
-                      "behind a resetting proxy; the survivors must "
-                      "reconnect and finish the campaign")
+            workers[1].send_signal(signal.SIGSTOP)
+            stopped.append(workers[1])
+            print("faults injected behind a resetting proxy: worker "
+                  "smoke-0 SIGKILLed, smoke-1 SIGSTOPped; smoke-2 must "
+                  "finish the campaign")
         else:
             # Machine too fast: the campaign drained before the fault
             # window.  The byte-identity leg below still proves the
             # 3-worker merge; the reclaim paths are covered by
-            # tests/test_dist.py and tests/test_sock.py.
+            # tests/test_sock.py.
             print("run finished before the fault window; "
                   "checking byte-identity only")
 
-        # 4. The campaign must still complete.
+        # 3. The campaign must still complete.
         try:
             stdout, stderr = coordinator.communicate(timeout=RUN_WAIT_S)
         except subprocess.TimeoutExpired:
@@ -197,12 +164,11 @@ def main() -> int:
         manifest = json.loads(stdout)["manifest"]
         print(f"campaign complete: {manifest['computed']} computed, "
               f"{manifest['cached']} cached, {manifest['retried']} retried")
-        if proxy is not None:
-            print(f"chaos proxy: {proxy.counts['connections']} "
-                  f"connections, {proxy.counts['frames']} frames, "
-                  f"{proxy.counts['resets']} resets")
+        print(f"chaos proxy: {proxy.counts['connections']} "
+              f"connections, {proxy.counts['frames']} frames, "
+              f"{proxy.counts['resets']} resets")
 
-        # 5. Byte-identity against the undisturbed serial baseline.
+        # 4. Byte-identity against the undisturbed serial baseline.
         serial = subprocess.run(
             [sys.executable, "-m", "repro", "run", "fig3",
              "--workers", "1", "--no-cache", "--json"],
@@ -211,13 +177,11 @@ def main() -> int:
             print(f"serial baseline failed:\n{serial.stderr}")
             return 1
         if _result_doc(stdout) != _result_doc(serial.stdout):
-            print(f"MISMATCH: {args.transport} output differs from "
-                  f"serial run")
+            print("MISMATCH: socket fleet output differs from serial run")
             return 1
-        print(f"{args.transport} output identical to undisturbed "
-              f"serial run")
+        print("socket fleet output identical to undisturbed serial run")
 
-        # 6. The shared cache survived the carnage intact.
+        # 5. The shared cache survived the carnage intact.
         verify = subprocess.run(
             [sys.executable, "-m", "repro", "cache", "verify",
              "--cache-dir", cache_dir],
@@ -228,14 +192,14 @@ def main() -> int:
             return 1
         return 0
     finally:
-        # Wind the fleet down.  Jobqueue workers watch a stop marker;
-        # socket workers got a stop RETRACT when the coordinator's
-        # transport closed (or exhaust their reconnect budget against
-        # the dead proxy).  SIGCONT the frozen (a stopped process
-        # cannot see the marker), then a kill escalation for anything
-        # still wedged.
-        with open(os.path.join(queue_dir, "stop"), "w") as stream:
-            stream.write("stop\n")
+        # Wind the fleet down.  Connected workers got a stop RETRACT
+        # when the coordinator's transport closed (or exhaust their
+        # reconnect budget against the dead proxy).  SIGCONT the
+        # frozen one (a stopped process reads no frames), then a kill
+        # escalation for anything still wedged.
+        if coordinator is not None and coordinator.poll() is None:
+            coordinator.kill()
+            coordinator.wait()
         if proxy is not None:
             proxy.stop()
         for process in stopped:
