@@ -20,7 +20,7 @@ The pure core is the decision/mangle layer (:func:`mangle_step` /
 ``netchaos`` contract group.  :class:`ChaosProxy` is the deliberately
 impure shell: a real TCP proxy that splits the byte stream into wire
 frames and applies the plan between a coordinator and its workers, so
-``tests/test_sock.py`` and the ``sock-smoke`` CI job can prove merged
+``tests/test_sock.py`` and the ``fleet-smoke`` CI job can prove merged
 bytes are invariant under wire hostility.
 """
 
@@ -191,7 +191,7 @@ def netchaos_plan(name: str, seed: int = 0) -> ChaosPlan:
     """The named wire-fault catalogue (pure).
 
     ``passthrough`` is the control; ``hostile`` composes every family
-    at once — the plan the sock-smoke CI job runs under.
+    at once — the plan the fleet-smoke CI job runs under.
     """
     catalogue: Dict[str, Tuple[Any, ...]] = {
         "passthrough": (),
