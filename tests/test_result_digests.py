@@ -4,8 +4,8 @@ The byte-identity gates elsewhere compare one topology with another
 (serial == parallel, pipe == socket); a change that alters every
 topology alike passes them.  This module pins the *content*: the
 rows/series/summary digests of the small-scale Figure 3 family and of
-every hostile-corpus row, error attribution included, as recorded by
-``tools/record_result_digests.py``.
+the two chaos experiments, and of every hostile-corpus row, error
+attribution included, as recorded by ``tools/record_result_digests.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,18 @@ def test_hostile_corpus_digests_frozen():
     assert current["summary"] == frozen["summary"]
 
 
+def test_chaos_digests_frozen():
+    current = _recorder().chaos_digests()
+    assert set(current) == set(FROZEN["chaos"])
+    for experiment_id, parts in sorted(FROZEN["chaos"].items()):
+        for part, digest in sorted(parts.items()):
+            assert current[experiment_id][part] == digest, \
+                f"{experiment_id} {part} drifted"
+
+
 def test_frozen_file_is_complete():
     # A truncated freeze would make the checks above vacuous.
-    assert set(FROZEN["scan_family"]) == set(_recorder().SCAN_FAMILY)
+    recorder = _recorder()
+    assert set(FROZEN["scan_family"]) == set(recorder.SCAN_FAMILY)
+    assert set(FROZEN["chaos"]) == set(recorder.CHAOS)
     assert FROZEN["hostile_corpus"]["rows"]

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Record (or print) the frozen result digests of the scan family and
-the hostile corpus.
+"""Record (or print) the frozen result digests of the scan family, the
+hostile corpus and the chaos experiments.
 
 ``tests/data/result_digests.json`` holds, for each experiment of the
 Figure 3 family (``fig3``, ``fig5``-``fig9``, ``ext-response-size``)
@@ -11,7 +11,9 @@ campaign does.  For ``hostile-corpus`` (default config) it holds one
 digest per ``(kind, family)`` group of rows, every field included
 (``error_class``, ``error_detail``, ``error_offset``), plus the digest
 of the summary: a decoder change that moves one error offset changes
-a group digest even when the outcome counts stay the same.
+a group digest even when the outcome counts stay the same.  For
+``chaos-availability`` and ``chaos-client-outcomes`` (small scale) it
+holds the rows/series/summary digests, as for the scan family.
 
 Timings, provenance and the run manifest are measurements, not
 results, so they are left out.
@@ -42,6 +44,9 @@ DIGESTS = (Path(__file__).resolve().parent.parent / "tests" / "data"
 #: The Figure 3 family, in the order a shared cache fills and serves.
 SCAN_FAMILY = ("fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
                "ext-response-size")
+
+#: The fault-scenario sweeps, each run alone without a cache.
+CHAOS = ("chaos-availability", "chaos-client-outcomes")
 
 
 def scan_family_digests(cache_dir: str) -> Dict[str, Dict[str, str]]:
@@ -74,11 +79,26 @@ def hostile_digests() -> Dict[str, Any]:
             "summary": stable_digest(result.summary)}
 
 
+def chaos_digests() -> Dict[str, Dict[str, str]]:
+    """rows/series/summary digests of the chaos experiments."""
+    from repro.canon import stable_digest
+    from repro.runtime import run_experiment
+
+    out = {}
+    for experiment_id in CHAOS:
+        result = run_experiment(experiment_id, workers=1, cache=False)
+        out[experiment_id] = {"rows": stable_digest(result.rows),
+                              "series": stable_digest(result.series),
+                              "summary": stable_digest(result.summary)}
+    return out
+
+
 def compute() -> Dict[str, Any]:
     """Every frozen digest, recomputed now."""
     with tempfile.TemporaryDirectory(prefix="result-digests-") as cache:
         scan = scan_family_digests(cache)
-    return {"scan_family": scan, "hostile_corpus": hostile_digests()}
+    return {"scan_family": scan, "hostile_corpus": hostile_digests(),
+            "chaos": chaos_digests()}
 
 
 def main(argv=None) -> int:
@@ -88,8 +108,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     document = {
         "about": ("stable_digest of rows/series/summary for the small-scale "
-                  "Figure 3 family (one shared cache) and of every "
-                  "hostile-corpus row, grouped by kind/family; written by "
+                  "Figure 3 family (one shared cache) and the chaos "
+                  "experiments, and of every hostile-corpus row, grouped "
+                  "by kind/family; written by "
                   "tools/record_result_digests.py"),
         **compute(),
     }
