@@ -305,21 +305,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return 0 if result.manifest.complete else 3
-    provenance = result.provenance
+    manifest = result.manifest
     print(f"experiment: {result.experiment_id}")
-    print(f"config: {provenance.config_digest} "
-          f"(code {provenance.code_version})")
-    print(f"shards: {len(provenance.shards)} "
-          f"(executed {provenance.executed_shards}, "
-          f"cached {provenance.cached_shards}, "
-          f"workers {provenance.workers})")
+    print(f"config: {manifest.config_digest} "
+          f"(code {manifest.code_version})")
+    print(f"shards: {len(manifest.shards)} "
+          f"(executed {len(manifest.shards) - manifest.cached}, "
+          f"cached {manifest.cached}, "
+          f"workers {manifest.workers})")
     print(f"rows: {len(result.rows)}")
     for key, value in result.to_dict()["summary"].items():
         print(f"  {key}: {value}")
     print(f"wall: {result.timings['total_s']:.2f}s "
           f"(shard compute {result.timings['shard_ms_total']:.0f}ms)")
     print(f"cache: {result.cache_status}")
-    manifest = result.manifest
     print(f"manifest: {manifest.cached} cached, "
           f"{manifest.computed} computed, {manifest.retried} retried, "
           f"{len(manifest.quarantined())} quarantined")
@@ -331,10 +330,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     from .core.figures import FigureScale, generate_all
-    if args.full:
-        print("figures: '--full' was removed; "
-              "use 'repro figures --scale full'", file=sys.stderr)
-        return 2
     scale = FigureScale.full() if args.scale == "full" else FigureScale.small()
     scale.seed = _seed(args)
     print(f"generating figure/table data into {args.out} "
@@ -829,8 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduction toolkit for 'Is the Web Ready for OCSP "
                     "Must-Staple?' (IMC 2018)",
     )
-    parser.add_argument("--seed", type=int, default=None, dest="root_seed",
-                        help=argparse.SUPPRESS)  # removed; rejected in main()
     commands = parser.add_subparsers(dest="command", required=True)
 
     # Shared flags: every command that can reach run_experiment() takes
@@ -1077,8 +1070,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--scale", choices=["small", "full"],
                          default="small",
                          help="small (seconds) or full (benchmark scale)")
-    figures.add_argument("--full", action="store_true",
-                         help=argparse.SUPPRESS)  # removed; rejected with hint
     figures.set_defaults(func=_cmd_figures)
 
     serve = commands.add_parser(
@@ -1180,11 +1171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "root_seed", None) is not None:
-        print("repro: the root '--seed N' spelling was removed; "
-              f"use 'repro {args.command} --seed {args.root_seed}'",
-              file=sys.stderr)
-        return 2
     return args.func(args)
 
 

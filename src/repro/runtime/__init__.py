@@ -11,14 +11,15 @@ Every run goes through :class:`SupervisedExecutor`: results stream
 into the artifact cache the moment each shard completes, crashed or
 hung workers are restarted, transient failures retry with capped
 backoff, unrecoverable shards are quarantined, and the result carries
-a :class:`RunManifest` recording every attempt.  Every transport
+one run record, a :class:`RunManifest`: the config digest and code
+version, and every shard's attempts.  Every transport
 computes a shard through one execute step
 (:func:`~repro.runtime.executor.execute_job`).
 :mod:`~repro.runtime.chaos` provides the self-chaos workers that prove
 this machinery in tests and CI.
 """
 
-from .api import RunContext, run_experiment
+from .api import run_experiment
 from .cache import (
     CODE_VERSION,
     SCHEMA_VERSION,
@@ -45,7 +46,7 @@ from .configs import (
     WhatIfRunConfig,
     default_config,
 )
-from .dist import job_document, merge_job_results
+from .dist import job_document
 from .executor import ShardSpec, resolve_worker
 from .sock import (
     FrameBuffer,
@@ -57,10 +58,8 @@ from .sock import (
 )
 from .result import (
     ExperimentResult,
-    Provenance,
     RunManifest,
     ShardAttempt,
-    ShardRecord,
     ShardState,
 )
 from .supervisor import ShardQuarantinedError, SupervisedExecutor
@@ -84,16 +83,13 @@ __all__ = [
     "MonitorConvergenceConfig",
     "OutageImpactConfig",
     "PipePoolTransport",
-    "Provenance",
     "ReadinessConfig",
-    "RunContext",
     "RunManifest",
     "SCHEMA_VERSION",
     "ScanCampaignConfig",
     "SeedConfig",
     "ShardAttempt",
     "ShardQuarantinedError",
-    "ShardRecord",
     "ShardSpec",
     "ShardState",
     "ShardTransport",
@@ -106,7 +102,6 @@ __all__ = [
     "default_cache_dir",
     "default_config",
     "job_document",
-    "merge_job_results",
     "parse_address",
     "resolve_worker",
     "run_experiment",

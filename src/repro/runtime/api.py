@@ -5,51 +5,26 @@ Every paper artefact runs through the same call::
     result = run_experiment("fig3", workers=4)
 
 which resolves the experiment's runner from the registry, builds its
-default config (or takes an explicit one), plans shards, executes them
-under :class:`~repro.runtime.supervisor.SupervisedExecutor` over the
-named transport against the content-addressed artifact cache, and
-returns an :class:`~repro.runtime.result.ExperimentResult` carrying
-rows, series, summary scalars, provenance, the run manifest, and
-timings.
+default config (or takes an explicit one), and hands the runner a
+:class:`~repro.runtime.supervisor.SupervisedExecutor` that executes
+its shards over the named transport against the content-addressed
+artifact cache.  It returns an
+:class:`~repro.runtime.result.ExperimentResult` carrying rows, series,
+summary scalars, timings, and the one run record
+(:class:`~repro.runtime.result.RunManifest`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from .cache import CODE_VERSION, ArtifactCache
 from .configs import default_config
 from .dist import DEFAULT_LEASE_S
-from .executor import ShardSpec
-from .result import ExperimentResult, Provenance, RunManifest, ShardRecord
+from .result import ExperimentResult
 from .supervisor import SupervisedExecutor
 from .transport import ShardTransport, local_transport
-
-
-class RunContext:
-    """What a runner sees: an executor plus accumulated provenance.
-
-    Runners call :meth:`run_shards` any number of times (the consistency
-    runner once, a scan runner once per campaign); the context records
-    every shard so the final provenance covers all work performed.
-    """
-
-    def __init__(self, experiment_id: str,
-                 executor: SupervisedExecutor) -> None:
-        self.experiment_id = experiment_id
-        self.executor = executor
-        self.shard_records: List[ShardRecord] = []
-
-    def run_shards(self, specs: List[ShardSpec]) -> List[List[Dict[str, Any]]]:
-        """Execute *specs* (cache-first); returns rows per spec, in
-        spec order."""
-        outputs, records = self.executor.run(specs)
-        base = len(self.shard_records)
-        for record in records:
-            record.index += base
-        self.shard_records.extend(records)
-        return outputs
 
 
 def _pipe(workers: int, shard_timeout: Optional[float], **_: Any
@@ -175,36 +150,30 @@ def run_experiment(experiment_id: str,
         workers=workers, cache=artifact_cache, shard_timeout=shard_timeout,
         max_retries=max_retries, allow_partial=allow_partial,
         transport=transport, lifecycle=lifecycle)
-    ctx = RunContext(experiment_id, executor)
+    manifest = executor.manifest
+    manifest.experiment_id = experiment_id
+    manifest.config_digest = config.config_digest()
+    manifest.code_version = CODE_VERSION
 
     started = time.perf_counter()
     try:
-        payload = runner(ctx, config)
+        payload = runner(executor, config)
     finally:
         if owned:
             transport.close()
     total_s = time.perf_counter() - started
 
-    provenance = Provenance(
-        experiment_id=experiment_id,
-        config_digest=config.config_digest(),
-        code_version=CODE_VERSION,
-        workers=executor.workers,
-        shards=ctx.shard_records)
     timings = {
         "total_s": total_s,
-        "shard_ms_total": sum(record.elapsed_ms
-                              for record in ctx.shard_records),
+        "shard_ms_total": sum(attempt.elapsed_ms
+                              for shard in manifest.shards
+                              for attempt in shard.attempts),
     }
-    manifest = RunManifest(experiment_id=experiment_id,
-                           workers=executor.workers,
-                           shards=executor.manifest_shards)
     return ExperimentResult(
         experiment_id=experiment_id,
         rows=payload.get("rows", []),
         series=payload.get("series", {}),
         summary=payload.get("summary", {}),
-        provenance=provenance,
         timings=timings,
         artifacts=payload.get("artifacts", {}),
         manifest=manifest)

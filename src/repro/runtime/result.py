@@ -1,4 +1,4 @@
-"""The unified experiment result: rows, series, provenance, timings.
+"""The unified experiment result: rows, series, the run record, timings.
 
 Every experiment — a figure, a table, a section statistic, an
 extension study — returns the same :class:`ExperimentResult` shape, so
@@ -11,29 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
-
-
-@dataclass
-class ShardRecord:
-    """Provenance for one executed (or cache-restored) work unit."""
-
-    index: int
-    label: str
-    key: str
-    cached: bool
-    elapsed_ms: float
-    rows: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "index": self.index,
-            "label": self.label,
-            "key": self.key,
-            "cached": self.cached,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-            "rows": self.rows,
-        }
 
 
 @dataclass
@@ -78,6 +55,11 @@ class ShardState:
     attempts: List[ShardAttempt] = field(default_factory=list)
     quarantine_reason: str = ""
 
+    @property
+    def cached(self) -> bool:
+        """True when the shard was restored from the artifact cache."""
+        return self.outcome == "cached"
+
     def to_dict(self) -> Dict[str, Any]:
         """Stable field mapping."""
         return {
@@ -93,21 +75,26 @@ class ShardState:
 
 @dataclass
 class RunManifest:
-    """Provenance of a run: what every shard went through.
+    """The run record: which inputs and code, and what every shard
+    went through.
 
-    Partial results always carry this, so a degraded-mode completion
-    (``allow_partial=True``) is distinguishable from a clean one, and
-    a follow-up invocation knows exactly which shards to recompute —
-    the quarantined/missing ones; everything else is in the cache.
+    ``shards`` holds one :class:`ShardState` per shard spec, in the
+    order the runner executed them.  Partial results always carry
+    this, so a degraded-mode completion (``allow_partial=True``) is
+    distinguishable from a clean one, and a follow-up invocation knows
+    exactly which shards to recompute — the quarantined/missing ones;
+    everything else is in the cache.
     """
 
     experiment_id: str = ""
+    config_digest: str = ""
+    code_version: str = ""
     workers: int = 1
     shards: List[ShardState] = field(default_factory=list)
 
     @property
     def cached(self) -> int:
-        return sum(1 for shard in self.shards if shard.outcome == "cached")
+        return sum(1 for shard in self.shards if shard.cached)
 
     @property
     def computed(self) -> int:
@@ -132,45 +119,14 @@ class RunManifest:
         """Stable field mapping."""
         return {
             "experiment_id": self.experiment_id,
+            "config_digest": self.config_digest,
+            "code_version": self.code_version,
             "workers": self.workers,
             "cached": self.cached,
             "computed": self.computed,
             "retried": self.retried,
             "quarantined": [shard.index for shard in self.quarantined()],
             "complete": self.complete,
-            "shards": [shard.to_dict() for shard in self.shards],
-        }
-
-
-@dataclass
-class Provenance:
-    """Where a result came from: inputs, code, and work performed."""
-
-    experiment_id: str
-    config_digest: str
-    code_version: str
-    workers: int
-    shards: List[ShardRecord] = field(default_factory=list)
-
-    @property
-    def executed_shards(self) -> int:
-        """Shards actually computed this run."""
-        return sum(1 for shard in self.shards if not shard.cached)
-
-    @property
-    def cached_shards(self) -> int:
-        """Shards restored from the artifact cache."""
-        return sum(1 for shard in self.shards if shard.cached)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable field mapping."""
-        return {
-            "experiment_id": self.experiment_id,
-            "config_digest": self.config_digest,
-            "code_version": self.code_version,
-            "workers": self.workers,
-            "executed_shards": self.executed_shards,
-            "cached_shards": self.cached_shards,
             "shards": [shard.to_dict() for shard in self.shards],
         }
 
@@ -206,17 +162,22 @@ class ExperimentResult:
     rows: List[Dict[str, Any]]
     series: Dict[str, List[Any]]
     summary: Dict[str, Any]
-    provenance: Provenance
     timings: Dict[str, float] = field(default_factory=dict)
     artifacts: Dict[str, Any] = field(default_factory=dict, repr=False)
-    #: What every shard went through (every run is supervised).
+    #: The run record: inputs, code, and what every shard went through.
     manifest: RunManifest = field(default_factory=RunManifest)
+
+    @property
+    def provenance(self) -> RunManifest:
+        """The run record under its older name: :attr:`manifest`
+        itself, not a copy."""
+        return self.manifest
 
     @property
     def cache_status(self) -> str:
         """``hit`` (all shards cached), ``miss`` (none), ``partial``,
         or ``off`` (cache disabled)."""
-        shards = self.provenance.shards
+        shards = self.manifest.shards
         if not shards or all(s.key == "" for s in shards):
             return "off"
         if all(shard.cached for shard in shards):
@@ -233,7 +194,6 @@ class ExperimentResult:
             "rows": _json_safe(self.rows),
             "series": _json_safe(self.series),
             "summary": _json_safe(self.summary),
-            "provenance": self.provenance.to_dict(),
             "timings": {k: round(v, 3) for k, v in self.timings.items()},
             "manifest": self.manifest.to_dict(),
         }

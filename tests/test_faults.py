@@ -499,8 +499,8 @@ class TestChaosWorkerIndependence:
                               workers=2, cache_dir=tmp_path)
         warm = run_experiment("chaos-availability", config=config,
                               workers=1, cache_dir=tmp_path)
-        assert cold.provenance.executed_shards > 0
-        assert warm.provenance.executed_shards == 0
+        assert cold.manifest.computed > 0
+        assert warm.manifest.cached == len(warm.manifest.shards)
         assert warm.rows == cold.rows
 
 

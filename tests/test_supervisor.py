@@ -70,9 +70,9 @@ class TestChaosRecovery:
         specs = plain_specs()
         specs[1] = chaos_wrap(specs[1], "crash", 1, str(tmp_path / "scratch"))
         executor = supervised(tmp_path)
-        outputs, _records = executor.run(specs)
+        outputs = executor.run_shards(specs)
         assert output_bytes(outputs) == baseline
-        state = executor.manifest_shards[1]
+        state = executor.manifest.shards[1]
         assert state.outcome == "computed"
         assert [a.outcome for a in state.attempts] == ["crash", "ok"]
         assert state.attempts[0].fault_class == "transient"
@@ -83,9 +83,9 @@ class TestChaosRecovery:
         specs[2] = chaos_wrap(specs[2], "hang", 1, str(tmp_path / "scratch"),
                               hang_s=60.0)
         executor = supervised(tmp_path, shard_timeout=1.0)
-        outputs, _records = executor.run(specs)
+        outputs = executor.run_shards(specs)
         assert output_bytes(outputs) == baseline
-        state = executor.manifest_shards[2]
+        state = executor.manifest.shards[2]
         assert [a.outcome for a in state.attempts] == ["hang", "ok"]
         assert "timeout" in state.attempts[0].error
 
@@ -95,9 +95,9 @@ class TestChaosRecovery:
         specs[3] = chaos_wrap(specs[3], "transient", 2,
                               str(tmp_path / "scratch"))
         executor = supervised(tmp_path)
-        outputs, _records = executor.run(specs)
+        outputs = executor.run_shards(specs)
         assert output_bytes(outputs) == baseline
-        state = executor.manifest_shards[3]
+        state = executor.manifest.shards[3]
         assert [a.outcome for a in state.attempts] == ["error", "error", "ok"]
         assert all(a.fault_class == "transient"
                    for a in state.attempts[:2])
@@ -110,9 +110,9 @@ class TestChaosRecovery:
         specs[0] = chaos_wrap(specs[0], "transient", 1,
                               str(tmp_path / "scratch"))
         executor = supervised(tmp_path, workers=1)
-        outputs, _records = executor.run(specs)
+        outputs = executor.run_shards(specs)
         assert output_bytes(outputs) == baseline
-        assert len(executor.manifest_shards[0].attempts) == 2
+        assert len(executor.manifest.shards[0].attempts) == 2
 
     def test_everything_at_once(self, tmp_path, baseline):
         """Crash + hang + transient + corrupt cache entry, one run."""
@@ -132,11 +132,11 @@ class TestChaosRecovery:
             stream.truncate()
         executor = SupervisedExecutor(workers=4, cache=cache,
                                       shard_timeout=1.0, max_retries=2)
-        outputs, _records = executor.run(specs)
+        outputs = executor.run_shards(specs)
         assert output_bytes(outputs) == baseline
-        outcomes = {s.index: s.outcome for s in executor.manifest_shards}
+        outcomes = {s.index: s.outcome for s in executor.manifest.shards}
         assert set(outcomes.values()) == {"computed"}  # nothing trusted the bad entry
-        retried = [s for s in executor.manifest_shards
+        retried = [s for s in executor.manifest.shards
                    if len(s.attempts) > 1]
         assert len(retried) == 3
         # The corrupted entry is quarantined, and a fresh one stored.
@@ -176,13 +176,13 @@ class TestQuarantine:
         specs[2] = chaos_wrap(specs[2], "permanent", 99,
                               str(tmp_path / "scratch"))
         executor = supervised(tmp_path, allow_partial=True)
-        outputs, records = executor.run(specs)
-        state = executor.manifest_shards[2]
+        outputs = executor.run_shards(specs)
+        state = executor.manifest.shards[2]
         assert state.outcome == "quarantined"
         assert len(state.attempts) == 1  # no retry budget wasted
         assert state.quarantine_reason.startswith("permanent:")
         assert outputs[2] == []
-        assert len(records) == len(specs)
+        assert len(executor.manifest.shards) == len(specs)
         # Healthy shards are untouched by the neighbour's failure.
         baseline = serial_outputs(plain_specs())
         for index in (0, 1, 3, 4, 5):
@@ -193,8 +193,8 @@ class TestQuarantine:
         specs[1] = chaos_wrap(specs[1], "crash", 99,
                               str(tmp_path / "scratch"))
         executor = supervised(tmp_path, max_retries=1, allow_partial=True)
-        executor.run(specs)
-        state = executor.manifest_shards[1]
+        executor.run_shards(specs)
+        state = executor.manifest.shards[1]
         assert state.outcome == "quarantined"
         assert state.quarantine_reason.startswith("poison:")
         assert len(state.attempts) == 2  # initial + one retry
@@ -208,7 +208,7 @@ class TestQuarantine:
         cache = ArtifactCache(root=str(tmp_path / "cache"))
         executor = SupervisedExecutor(workers=4, cache=cache, max_retries=2)
         with pytest.raises(ShardQuarantinedError) as excinfo:
-            executor.run(specs)
+            executor.run_shards(specs)
         assert "permanent" in str(excinfo.value)
         assert len(excinfo.value.states) == 1
         # All five healthy shards already live in the cache.
@@ -232,35 +232,35 @@ class TestResume:
 
         first = SupervisedExecutor(workers=4, cache=cache, max_retries=1,
                                    allow_partial=True)
-        outputs1, _ = first.run(specs)
+        outputs1 = first.run_shards(specs)
         assert outputs1[2] == []
-        assert first.manifest_shards[2].outcome == "quarantined"
+        assert first.manifest.shards[2].outcome == "quarantined"
 
         second = SupervisedExecutor(workers=4, cache=cache, max_retries=1,
                                     allow_partial=True)
-        outputs2, _ = second.run(specs)
-        outcomes = [s.outcome for s in second.manifest_shards]
+        outputs2 = second.run_shards(specs)
+        outcomes = [s.outcome for s in second.manifest.shards]
         assert outcomes.count("cached") == 5
         assert outcomes.count("computed") == 1
         assert output_bytes(outputs2) == baseline
 
     def test_mixed_cached_computed_provenance(self, tmp_path):
-        """Satellite: records and manifest agree on what came from
-        where, and the threaded-through keys match spec.key()."""
+        """The manifest says what came from where, and the
+        threaded-through keys match spec.key()."""
         specs = plain_specs()
         cache = ArtifactCache(root=str(tmp_path / "cache"))
         warmup = SupervisedExecutor(workers=2, cache=cache)
-        warmup.run(specs[:3])
+        warmup.run_shards(specs[:3])
 
         executor = SupervisedExecutor(workers=2, cache=cache)
-        outputs, records = executor.run(specs)
-        assert [r.cached for r in records] == [True] * 3 + [False] * 3
-        assert [s.outcome for s in executor.manifest_shards] \
+        outputs = executor.run_shards(specs)
+        states = executor.manifest.shards
+        assert [s.cached for s in states] == [True] * 3 + [False] * 3
+        assert [s.outcome for s in states] \
             == ["cached"] * 3 + ["computed"] * 3
-        for spec, record, state in zip(specs, records,
-                                       executor.manifest_shards):
-            assert record.key == spec.key() == state.key
-            assert record.rows == state.rows > 0
+        for spec, rows, state in zip(specs, outputs, states):
+            assert state.key == spec.key()
+            assert state.rows == len(rows) > 0
         assert output_bytes(outputs) == output_bytes(serial_outputs(specs))
 
 
@@ -457,7 +457,7 @@ class TestRunExperimentSupervised:
         crash into one scan shard, supervise at 4 workers, and demand
         the merged dataset match the undisturbed serial run."""
         from repro.datasets import WorldConfig
-        from repro.runtime import RunContext, ScanCampaignConfig
+        from repro.runtime import ScanCampaignConfig
         from repro.runtime.sharding import merge_scan_rows, scan_shards
         from repro.scanner.io import dump_dataset
         import io
@@ -475,7 +475,7 @@ class TestRunExperimentSupervised:
                                 str(tmp_path / "scratch"))
         executor = SupervisedExecutor(
             workers=4, cache=ArtifactCache(root=str(tmp_path / "cache")))
-        merged = merge_scan_rows(campaign, executor.run(chaotic)[0])
+        merged = merge_scan_rows(campaign, executor.run_shards(chaotic))
 
         def dump(dataset):
             stream = io.StringIO()

@@ -99,8 +99,8 @@ def bench_campaign(experiment_id: str, workers: int) -> Dict[str, object]:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    shards = len(warm.provenance.shards)
-    hit_rate = (warm.provenance.cached_shards / shards) if shards else 0.0
+    shards = len(warm.manifest.shards)
+    hit_rate = (warm.manifest.cached / shards) if shards else 0.0
     record = {
         "schema": SCHEMA,
         "experiment": experiment_id,
@@ -111,7 +111,7 @@ def bench_campaign(experiment_id: str, workers: int) -> Dict[str, object]:
         "cache_hit_rate": round(hit_rate, 4),
         "cold_cache": cold.cache_status,
         "warm_cache": warm.cache_status,
-        "code_version": warm.provenance.code_version,
+        "code_version": warm.manifest.code_version,
     }
     # Timing summaries come from the COLD run: the warm run restores
     # cached shard rows, whose timings are the cold run's anyway.
@@ -160,8 +160,8 @@ def bench_dist_socket(workers: int) -> Dict[str, object]:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    shards = len(warm.provenance.shards)
-    hit_rate = (warm.provenance.cached_shards / shards) if shards else 0.0
+    shards = len(warm.manifest.shards)
+    hit_rate = (warm.manifest.cached / shards) if shards else 0.0
     return {
         "schema": SCHEMA,
         "experiment": "fig3",
@@ -173,7 +173,7 @@ def bench_dist_socket(workers: int) -> Dict[str, object]:
         "cache_hit_rate": round(hit_rate, 4),
         "cold_cache": cold.cache_status,
         "warm_cache": warm.cache_status,
-        "code_version": warm.provenance.code_version,
+        "code_version": warm.manifest.code_version,
         # Wire telemetry from the cold leg.  frames_sent varies with
         # heartbeat timing, so the gate only bounds the failure
         # counters (see compare()).
@@ -210,10 +210,10 @@ def bench_fig3_full() -> Dict[str, object]:
         "experiment": "fig3",
         "scale": "full",
         "workers": 1,
-        "shards": len(cold.provenance.shards),
+        "shards": len(cold.manifest.shards),
         "cold_wall_s": round(cold_wall, 3),
         "cold_cache": cold.cache_status,
-        "code_version": cold.provenance.code_version,
+        "code_version": cold.manifest.code_version,
     }
 
 
