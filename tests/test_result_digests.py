@@ -3,9 +3,10 @@
 The byte-identity gates elsewhere compare one topology with another
 (serial == parallel, pipe == socket); a change that alters every
 topology alike passes them.  This module pins the *content*: the
-rows/series/summary digests of the small-scale Figure 3 family and of
-the two chaos experiments, and of every hostile-corpus row, error
-attribution included, as recorded by ``tools/record_result_digests.py``.
+rows/series/summary digests of the small-scale Figure 3 family, of
+the two chaos experiments and of the two other scan-shard consumers
+(``sec5-freshness``, ``monitor-convergence``; timings dropped), and of
+every hostile-corpus row, error attribution included, as recorded by ``tools/record_result_digests.py``.
 """
 
 from __future__ import annotations
@@ -58,9 +59,19 @@ def test_chaos_digests_frozen():
                 f"{experiment_id} {part} drifted"
 
 
+def test_scan_consumer_digests_frozen():
+    current = _recorder().scan_consumer_digests()
+    assert set(current) == set(FROZEN["scan_consumers"])
+    for experiment_id, parts in sorted(FROZEN["scan_consumers"].items()):
+        for part, digest in sorted(parts.items()):
+            assert current[experiment_id][part] == digest, \
+                f"{experiment_id} {part} drifted"
+
+
 def test_frozen_file_is_complete():
     # A truncated freeze would make the checks above vacuous.
     recorder = _recorder()
     assert set(FROZEN["scan_family"]) == set(recorder.SCAN_FAMILY)
     assert set(FROZEN["chaos"]) == set(recorder.CHAOS)
+    assert set(FROZEN["scan_consumers"]) == set(recorder.SCAN_CONSUMERS)
     assert FROZEN["hostile_corpus"]["rows"]
