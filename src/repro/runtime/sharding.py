@@ -21,6 +21,7 @@ shards a serial run produced.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List
 
 from ..canon import split_ranges
@@ -67,7 +68,7 @@ def merge_scan_rows(config: ScanCampaignConfig,
     """
     from ..scanner.hourly import ScanDataset
     rows = [row for shard_rows in outputs for row in shard_rows]
-    rows.sort(key=lambda row: (row["ts"], row["ti"], row["vi"]))
+    rows.sort(key=itemgetter("ts", "ti", "vi"))
     start, end = campaign_window(config)
     return ScanDataset(
         records=[record_from_dict(row) for row in rows],
