@@ -29,6 +29,10 @@ import typing
 from typing import Any, Dict, List, Tuple
 
 
+#: Exact types :func:`canonical` returns unchanged.
+_PLAIN = (str, int, float, bool, type(None))
+
+
 def canonical(obj: Any) -> Any:
     """Collapse *obj* into a canonical JSON-serializable structure.
 
@@ -38,7 +42,16 @@ def canonical(obj: Any) -> Any:
     type name so two config classes with identical fields don't
     collide).
     """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    # Plain dicts and lists (rows, frame bodies) skip the checks below.
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is dict:
+        return {str(k): obj[k] if type(obj[k]) in _PLAIN
+                else canonical(obj[k]) for k in sorted(obj, key=str)}
+    if kind is list:
+        return [v if type(v) in _PLAIN else canonical(v) for v in obj]
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, enum.Enum):
         return canonical(obj.value)
@@ -71,8 +84,12 @@ def canonical_json(obj: Any) -> str:
 
 def stable_digest(obj: Any, length: int = 16) -> str:
     """A stable hex content address for *obj* (first *length* hex chars)."""
-    digest = hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-    return digest[:length]
+    return text_digest(canonical_json(obj), length)
+
+
+def text_digest(text: str, length: int = 16) -> str:
+    """:func:`stable_digest` of the value whose canonical JSON is *text*."""
+    return hashlib.sha256(text.encode()).hexdigest()[:length]
 
 
 def derived_rng(*parts: object) -> random.Random:

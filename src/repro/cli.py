@@ -856,26 +856,27 @@ def build_parser() -> argparse.ArgumentParser:
                           "quarantined (exit code 3)")
     run.add_argument("--shard-timeout", type=float, default=None,
                      metavar="SECONDS",
-                     help="kill and retry shards that run longer than "
-                          "this (runs them in worker processes even "
-                          "at --workers 1)")
+                     help="reclaim and retry shards that run longer "
+                          "than this; a forked worker is killed (forks "
+                          "one even at --workers 1)")
     run.add_argument("--retries", type=int, default=2,
                      help="extra attempts per shard beyond the first "
                           "(default 2)")
-    run.add_argument("--transport", choices=["pipe", "socket"],
-                     default="pipe",
-                     help="shard transport: pipe (this host: "
-                          "in-process at --workers 1, else a worker "
-                          "pool; default) or socket (TCP coordinator "
-                          "that 'repro worker --connect' workers dial; "
-                          "no shared filesystem needed)")
+    run.add_argument("--transport", choices=["local", "socket"],
+                     default="local",
+                     help="local (default: in-process at --workers 1 "
+                          "without --shard-timeout, else forked workers "
+                          "over loopback) or socket (a TCP coordinator "
+                          "on --listen that 'repro worker --connect' "
+                          "workers dial from any host, plus --workers "
+                          "forked ones unless --no-spawn)")
     run.add_argument("--listen", default="127.0.0.1:0",
                      metavar="HOST:PORT",
                      help="with --transport socket: the address to "
                           "bind (default 127.0.0.1:0 — an ephemeral "
-                          "port the spawned fleet is pointed at)")
+                          "port the forked fleet dials)")
     run.add_argument("--no-spawn", action="store_true",
-                     help="with --transport socket: do not spawn a "
+                     help="with --transport socket: do not fork a "
                           "local worker fleet; externally started "
                           "'repro worker' processes do the work")
     run.add_argument("--lease", type=float, default=None,

@@ -63,7 +63,7 @@ from .result import (
     ShardState,
 )
 from .supervisor import ShardQuarantinedError, SupervisedExecutor
-from .transport import AttemptOutcome, PipePoolTransport, ShardTransport
+from .transport import AttemptOutcome, ShardTransport
 
 __all__ = [
     "AlexaRunConfig",
@@ -82,7 +82,6 @@ __all__ = [
     "LatencyConfig",
     "MonitorConvergenceConfig",
     "OutageImpactConfig",
-    "PipePoolTransport",
     "ReadinessConfig",
     "RunManifest",
     "SCHEMA_VERSION",

@@ -23,36 +23,9 @@ from .cache import CODE_VERSION, ArtifactCache
 from .configs import default_config
 from .dist import DEFAULT_LEASE_S
 from .result import ExperimentResult
+from .sock import SocketTransport, local_transport, parse_address
 from .supervisor import SupervisedExecutor
-from .transport import ShardTransport, local_transport
-
-
-def _pipe(workers: int, shard_timeout: Optional[float], **_: Any
-          ) -> ShardTransport:
-    return local_transport(workers, shard_timeout)
-
-
-def _socket(workers: int, shard_timeout: Optional[float],
-            lease_s: float, cache: ArtifactCache, spawn: bool,
-            listen: Optional[str] = None, **_: Any) -> ShardTransport:
-    from .sock import SocketTransport, parse_address, spawn_socket_workers
-    host, port = parse_address(listen or "127.0.0.1:0")
-    return SocketTransport(
-        host=host, port=port, lease_s=lease_s,
-        shard_timeout=shard_timeout,
-        fleet=(lambda transport: spawn_socket_workers(
-            transport.host, transport.port, workers,
-            cache_dir=cache.root, cache_enabled=cache.enabled))
-        if spawn else None)
-
-
-#: Transport name -> factory.  The socket transport owns the local
-#: fleet it spawns (started on first dispatch, stopped and joined on
-#: close).
-TRANSPORTS: Dict[str, Callable[..., ShardTransport]] = {
-    "pipe": _pipe,
-    "socket": _socket,
-}
+from .transport import ShardTransport
 
 
 def run_experiment(experiment_id: str,
@@ -96,16 +69,18 @@ def run_experiment(experiment_id: str,
         the manifest says exactly what is missing and why.
     shard_timeout:
         Per-shard wall-clock seconds before a worker is declared hung,
-        killed (or its lease reclaimed), and the shard retried.
+        its lease reclaimed (and the worker killed, if the transport
+        forked it), and the shard retried.
     max_retries:
         Extra attempts per shard beyond the first.
     transport:
-        How shard attempts reach compute, by name in :data:`TRANSPORTS`
-        or as an instance.  ``None``/``"pipe"`` runs on this host —
-        in-process for one worker without a shard timeout, otherwise
-        a pipe pool; ``"socket"`` listens on *listen* for ``repro
-        worker --connect`` workers dialing in over TCP — no shared
-        filesystem needed; a
+        How shard attempts reach compute, by name or as an instance.
+        ``None``/``"local"`` runs on this host
+        (:func:`~repro.runtime.sock.local_transport`): in-process for
+        one worker without a shard timeout, otherwise a fleet of
+        *workers* forked processes over loopback; ``"socket"`` listens
+        on *listen* for ``repro worker --connect`` workers dialing in
+        over TCP — no shared filesystem needed; a
         :class:`~repro.runtime.transport.ShardTransport` instance is
         used as-is (caller owns and closes it).  Every transport
         yields byte-identical merges — topology changes scheduling,
@@ -120,11 +95,10 @@ def run_experiment(experiment_id: str,
         heartbeat (scheduling only — deliberately NOT cache-key
         material).
     spawn_workers:
-        With ``transport="socket"``: start *workers* local ``repro
-        worker`` subprocesses on the first dispatch and stop them when
-        the run ends (default True; a run served entirely from cache
-        starts none).  Pass False when an external fleet dials the
-        coordinator.
+        With ``transport="socket"``: fork up to *workers* local workers
+        as shards are dispatched and stop them when the run ends
+        (default True; a run served entirely from cache starts none).
+        Pass False when an external fleet dials the coordinator.
     lifecycle:
         Optional telemetry callback ``(state, info)`` — wired to the
         monitor's ``worker`` event kind by the CLI.
@@ -137,15 +111,17 @@ def run_experiment(experiment_id: str,
 
     artifact_cache = ArtifactCache(root=cache_dir, enabled=cache)
     owned = not isinstance(transport, ShardTransport)
-    if owned:
-        name = transport or "pipe"
-        if name not in TRANSPORTS:
-            raise ValueError(f"unknown transport: {transport!r}")
-        transport = TRANSPORTS[name](
-            workers=workers, shard_timeout=shard_timeout,
-            lease_s=lease_s, cache=artifact_cache,
-            spawn=spawn_workers is None or spawn_workers,
-            listen=listen)
+    if transport is None or transport == "local":
+        transport = local_transport(workers, shard_timeout)
+    elif transport == "socket":
+        host, port = parse_address(listen or "127.0.0.1:0")
+        transport = SocketTransport(
+            host=host, port=port, lease_s=lease_s,
+            shard_timeout=shard_timeout,
+            workers=workers if spawn_workers is None or spawn_workers
+            else 0)
+    elif owned:
+        raise ValueError(f"unknown transport: {transport!r}")
     executor = SupervisedExecutor(
         workers=workers, cache=artifact_cache, shard_timeout=shard_timeout,
         max_retries=max_retries, allow_partial=allow_partial,

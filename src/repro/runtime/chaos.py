@@ -8,8 +8,8 @@ wraps any real shard worker and misbehaves deterministically for the
 first ``fail_times`` attempts:
 
 * ``crash`` — ``os._exit`` mid-shard, the way an OOM-killed or
-  segfaulted worker dies: no exception, no cleanup, just a closed
-  pipe;
+  segfaulted worker dies: no exception, no cleanup, just an exited
+  process and a closed connection;
 * ``hang``  — sleep far past any shard timeout, the way a wedged
   network read hangs;
 * ``transient`` — raise :class:`repro.faults.TransientShardError`

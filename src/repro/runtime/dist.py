@@ -2,9 +2,8 @@
 
 The socket fleet (:mod:`repro.runtime.sock`) spreads a campaign's
 shards over ``repro worker`` processes on any number of hosts.  This
-module holds the pure rules that decide each attempt's fate, plus the
-helpers that start and reap a local fleet.  An attempt moves through
-four states:
+module holds the pure rules that decide each attempt's fate.  An
+attempt moves through four states:
 
 * **dispatch** — the attempt becomes a :func:`job_document` under a
   fresh ticket.  Its ``digest`` binds it to its work content, and its
@@ -40,13 +39,10 @@ determinism lint allowlists exactly that read in this file.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..canon import stable_digest
 from .transport import AttemptOutcome
@@ -144,11 +140,13 @@ def classify_lease(lease: Lease, now: float) -> Optional[AttemptOutcome]:
     if lease.expires_at > now:
         return None
     elapsed_s = now - lease.claimed_at
+    timeout = lease.job.get("timeout")
+    outcome = classify_expiry(elapsed_s, timeout)
+    message = f"lease expired (owner {lease.owner}) after {elapsed_s:.2f}s"
+    if outcome == "hang":
+        message = f"exceeded shard timeout ({float(timeout):g}s); {message}"
     return AttemptOutcome(
-        ticket=lease.job["ticket"],
-        outcome=classify_expiry(elapsed_s, lease.job.get("timeout")),
-        message=f"lease expired (owner {lease.owner}) after "
-                f"{elapsed_s:.2f}s",
+        ticket=lease.job["ticket"], outcome=outcome, message=message,
         elapsed_ms=elapsed_s * 1000.0, owner=lease.owner)
 
 
@@ -205,57 +203,3 @@ def heartbeat(job: Dict[str, Any], renew: Callable[[int], bool],
         renewals += 1
         if not renew(renewals):
             return
-
-
-# ---------------------------------------------------------------------------
-# local fleet helpers (`repro run --transport socket` sits on these)
-# ---------------------------------------------------------------------------
-
-def spawn_workers(channel: List[str], count: int, prefix: str,
-                  cache_dir: Optional[str] = None,
-                  cache_enabled: bool = True,
-                  events_dir: Optional[str] = None
-                  ) -> List["subprocess.Popen"]:
-    """Start *count* ``repro worker`` subprocesses, ids ``prefix-N``.
-
-    *channel* is the worker flags naming the coordinator
-    (``--connect HOST:PORT ...``).  The children inherit this
-    interpreter and get ``src`` on their ``PYTHONPATH``, so the helper
-    works from a source checkout exactly like the CI smokes do.
-    Callers own the processes and wind them down with the
-    coordinator's stop broadcast and :func:`join_workers`.
-    """
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    processes = []
-    for index in range(count):
-        worker_id = f"{prefix}-{index}"
-        command = [sys.executable, "-m", "repro", "worker", *channel,
-                   "--id", worker_id]
-        if not cache_enabled:
-            command.append("--no-cache")
-        elif cache_dir:
-            command.extend(["--cache-dir", cache_dir])
-        if events_dir:
-            command.extend(["--events",
-                            os.path.join(events_dir,
-                                         f"{worker_id}.events.jsonl")])
-        processes.append(subprocess.Popen(command, env=env))
-    return processes
-
-
-def join_workers(processes: List["subprocess.Popen"],
-                 timeout_s: float = 5.0) -> None:
-    """Wait for a local fleet to exit; escalate to kill on stragglers
-    (a worker wedged inside a hung shard cannot drain politely)."""
-    for process in processes:
-        try:
-            process.wait(timeout=timeout_s)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            try:
-                process.wait(timeout=timeout_s)
-            except subprocess.TimeoutExpired:
-                pass

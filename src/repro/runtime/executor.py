@@ -3,7 +3,7 @@
 A :class:`ShardSpec` is a picklable description of one work unit — a
 dotted ``module:function`` worker entrypoint plus a JSON-able payload.
 :func:`execute_job` is the single place a shard is computed, whichever
-transport carried it (in-process, pipe pool, or socket fleet):
+transport carried it (in-process or socket fleet, forked or remote):
 cache-first by shard key, a firewall that turns any raised
 exception into a typed error envelope, timing, cache store, and the
 result envelope the coordinator credits.  Because every worker is a

@@ -59,15 +59,16 @@ pacing that never reaches content.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import selectors
 import socket
-import subprocess
 import threading
 import time
+import weakref
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..canon import stable_digest
+from ..canon import canonical_json, stable_digest, text_digest
 from .cache import ArtifactCache
 from .dist import (
     DEFAULT_LEASE_S,
@@ -76,12 +77,15 @@ from .dist import (
     classify_result,
     heartbeat,
     job_document,
-    join_workers,
     now_s,
-    spawn_workers,
 )
 from .executor import execute_job
-from .transport import AttemptOutcome, ShardTransport, envelope_outcome
+from .transport import (
+    AttemptOutcome,
+    InProcessTransport,
+    ShardTransport,
+    envelope_outcome,
+)
 
 #: Frame kinds, in protocol order.
 FRAME_KINDS = ("HELLO", "JOB", "HEARTBEAT", "RESULT", "RETRACT")
@@ -133,10 +137,10 @@ def encode_frame(kind: str, body: Dict[str, Any]) -> bytes:
     """One wire frame: length prefix + digest-stamped JSON payload."""
     if kind not in FRAME_KINDS:
         raise JunkFrameError(f"unknown frame kind {kind!r}")
-    payload = json.dumps(
-        {"frame": kind, "v": FRAME_VERSION, "body": body,
-         "digest": frame_digest(body)},
-        sort_keys=True).encode("utf-8")
+    # Hash and send one serialization of the body: its canonical JSON.
+    text = canonical_json(body)
+    payload = ('{"body":%s,"digest":"%s","frame":"%s","v":%d}' % (
+        text, text_digest(text), kind, FRAME_VERSION)).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise OversizedFrameError(
             f"{kind} payload is {len(payload)} bytes "
@@ -163,7 +167,9 @@ def decode_payload(payload: bytes) -> Tuple[str, Dict[str, Any]]:
         raise JunkFrameError(f"unknown frame kind {kind!r}")
     if not isinstance(body, dict):
         raise JunkFrameError(f"{kind} body is not an object")
-    if document.get("digest") != frame_digest(body):
+    # Decoded JSON needs no canonicalizing walk: its sorted dump is it.
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    if document.get("digest") != text_digest(text):
         raise JunkFrameError(f"{kind} digest mismatch")
     return kind, body
 
@@ -264,9 +270,8 @@ def dial(host: str, port: int, attempts: int = 40,
 class _Peer:
     """One accepted worker connection and its frame buffer."""
 
-    def __init__(self, sock: socket.socket, address: Any) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.address = address
         self.buffer = FrameBuffer()
         self.worker_id = ""          # set by HELLO
         self.job_id: Optional[str] = None  # job this peer is computing
@@ -292,10 +297,12 @@ class SocketTransport(ShardTransport):
     the coordinator's own monotonic clock, stamped when frames arrive,
     so nothing is ever compared across machines.
 
-    *fleet*, when given, starts the worker processes the transport
-    owns (usually :func:`spawn_socket_workers`); it runs on the first
-    dispatch — a run served entirely from cache starts no fleet — and
-    ``close()`` stops and joins them.
+    *workers* is the size of the local fleet the transport forks, owns,
+    and joins on ``close()``: each dispatch forks one more until there
+    are *workers*, so a run served from cache forks none.  An owned
+    worker's exit settles its leases as ``crash`` at once (its process
+    sentinel sits in the selector), a ``hang`` reclaim kills it, and a
+    dead one is replaced while work is waiting.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -303,8 +310,7 @@ class SocketTransport(ShardTransport):
                  shard_timeout: Optional[float] = None,
                  poll_s: float = DEFAULT_POLL_S,
                  reclaim_grace_s: Optional[float] = None,
-                 fleet: Optional[Callable[..., List["subprocess.Popen"]]]
-                 = None) -> None:
+                 workers: int = 0) -> None:
         self.lease_s = float(lease_s)
         self.shard_timeout = shard_timeout
         self.poll_s = poll_s
@@ -313,9 +319,10 @@ class SocketTransport(ShardTransport):
         #: possible instant.
         self.reclaim_grace_s = reclaim_grace_s \
             if reclaim_grace_s is not None else max(2.0 * self.lease_s, 1.0)
-        self._spawn = fleet
-        #: The worker processes this transport started.
-        self.fleet: List["subprocess.Popen"] = []
+        self.workers = max(0, workers)
+        #: worker id -> process handle of each live owned worker.
+        self.fleet: Dict[str, Any] = {}
+        self._forks = 0
         #: Dispatched job documents no worker has taken yet.
         self._pending: Deque[Dict[str, Any]] = deque()
         #: job id -> the lease of every job a worker has taken.
@@ -339,6 +346,7 @@ class SocketTransport(ShardTransport):
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ,
                                 None)
+        _COORDINATORS.add(self)
 
     # -- interface ----------------------------------------------------
 
@@ -351,9 +359,8 @@ class SocketTransport(ShardTransport):
         self._pending.append(job_document(ticket, worker, payload, key,
                                           label, self.shard_timeout,
                                           self.lease_s))
-        if self._spawn is not None:
-            spawn, self._spawn = self._spawn, None
-            self.fleet = spawn(self)
+        if len(self.fleet) < self.workers:
+            self._fork()
 
     def poll(self, timeout_s: float) -> List[AttemptOutcome]:
         deadline = time.perf_counter() + timeout_s
@@ -368,7 +375,7 @@ class SocketTransport(ShardTransport):
 
     def close(self) -> None:
         """Broadcast stop to the dialed-in fleet and release the port,
-        then join the fleet this transport started, if any.
+        then join the fleet this transport owns, if any.
 
         Idempotent: a supervisor ``finally`` and an outer CLI cleanup
         may both call it.  The stop ``RETRACT`` is what keeps workers
@@ -389,8 +396,9 @@ class SocketTransport(ShardTransport):
             pass
         self._listener.close()
         self._selector.close()
-        join_workers(self.fleet)
-        self.fleet = []
+        # An owned worker still computing now works for nobody.
+        join_workers(list(self.fleet.values()), timeout_s=1.0)
+        self.fleet = {}
 
     def stats(self) -> Dict[str, int]:
         """Wire counters (telemetry, never content): frames each way,
@@ -405,19 +413,21 @@ class SocketTransport(ShardTransport):
         for key, _mask in self._selector.select(wait_s):
             if key.data is None:
                 self._accept()
-            else:
+            elif isinstance(key.data, _Peer):
                 self._service(key.data)
+            else:
+                self._reap(key.data)
 
     def _accept(self) -> None:
         while True:
             try:
-                conn, address = self._listener.accept()
+                conn, _address = self._listener.accept()
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
                 return
             conn.setblocking(False)
-            peer = _Peer(conn, address)
+            peer = _Peer(conn)
             self._peers.append(peer)
             self._selector.register(conn, selectors.EVENT_READ, peer)
 
@@ -594,9 +604,52 @@ class SocketTransport(ShardTransport):
                     self._send(peer, "RETRACT", {"job": job_id})
                 except OSError:
                     self._drop_peer(peer)
+            if outcome.outcome == "hang" and lease.owner in self.fleet:
+                self.fleet[lease.owner].kill()     # reaped like a crash
             self._stats["jobs_reclaimed"] += 1
             outcomes.append(outcome)
         return outcomes
+
+    # -- the owned fleet ----------------------------------------------
+
+    def _fork(self) -> None:
+        worker_id = f"local-{self._forks}"
+        self._forks += 1
+        process = fork_worker(self.host, self.port, worker_id)
+        self.fleet[worker_id] = process
+        self._selector.register(process.sentinel, selectors.EVENT_READ,
+                                process)
+
+    def _reap(self, process: Any) -> None:
+        """An owned worker exited: drop its connection, settle its
+        leases as ``crash`` now, and fork a replacement if work waits."""
+        self._selector.unregister(process.sentinel)
+        process.join()
+        worker_id = process.name
+        del self.fleet[worker_id]
+        for peer in [p for p in self._peers if p.worker_id == worker_id]:
+            self._drop_peer(peer)
+        now = time.perf_counter()
+        for job_id, lease in sorted(self._leases.items()):
+            if lease.owner != worker_id:
+                continue
+            del self._leases[job_id]
+            self._completed.append(AttemptOutcome(
+                ticket=lease.job["ticket"], outcome="crash",
+                message=f"worker exited (code {process.exitcode})",
+                elapsed_ms=(now - lease.claimed_at) * 1000.0,
+                owner=worker_id))
+        if self._pending:
+            self._fork()
+
+    def _abandon(self) -> None:
+        """Silently close this process's copies of the coordinator's
+        sockets: while a forked worker holds one, a sibling reads no EOF
+        when the coordinator dies and can still dial its port."""
+        for peer in self._peers:
+            peer.sock.close()
+        self._listener.close()
+        self._selector.close()
 
 
 # ---------------------------------------------------------------------------
@@ -805,20 +858,71 @@ class SocketWorker:
 
 
 # ---------------------------------------------------------------------------
-# local fleet helpers (`repro run --transport socket` sits on these)
+# local fleets: forked workers over loopback
 # ---------------------------------------------------------------------------
 
+#: Every coordinator alive in this process; a forked worker abandons
+#: them all (:meth:`SocketTransport._abandon`) before it dials.
+_COORDINATORS: "weakref.WeakSet[SocketTransport]" = weakref.WeakSet()
+
+
+def _worker_main(host: str, port: int, worker_id: str,
+                 cache_dir: Optional[str]) -> None:
+    for coordinator in list(_COORDINATORS):
+        coordinator._abandon()
+    cache = ArtifactCache(root=cache_dir) if cache_dir else None
+    # On loopback a refused dial means the coordinator is dead: exit.
+    SocketWorker(host, port, worker_id, cache=cache,
+                 reconnect_limit=0).run()
+
+
+def fork_worker(host: str, port: int, worker_id: str,
+                cache_dir: Optional[str] = None) -> Any:
+    """Fork one :class:`SocketWorker` that dials ``host:port`` as
+    *worker_id*; returns its :mod:`multiprocessing` process handle.  It
+    reuses the parent's imports, ends through ``os._exit`` (inherited
+    buffered streams are not flushed twice), and has no cache unless
+    *cache_dir* names one: the supervisor persists each settled shard."""
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:          # no fork on this platform
+        context = multiprocessing.get_context()
+    process = context.Process(target=_worker_main, name=worker_id,
+                              args=(host, port, worker_id, cache_dir),
+                              daemon=True)
+    process.start()
+    return process
+
+
+def join_workers(processes: List[Any], timeout_s: float = 5.0) -> None:
+    """Give forked workers *timeout_s* in all to exit, then kill the
+    stragglers: a worker wedged inside a hung shard cannot drain
+    politely."""
+    deadline = time.perf_counter() + timeout_s
+    for process in processes:
+        process.join(max(0.0, deadline - time.perf_counter()))
+    for process in processes:
+        if process.is_alive():
+            process.kill()
+            process.join(timeout_s)
+
+
 def spawn_socket_workers(host: str, port: int, count: int,
-                         cache_dir: Optional[str] = None,
-                         cache_enabled: bool = True,
-                         events_dir: Optional[str] = None,
-                         reconnect_limit: int = DEFAULT_RECONNECT_LIMIT
-                         ) -> List["subprocess.Popen"]:
-    """Start *count* ``repro worker --connect`` subprocesses; wind
-    down with the coordinator's :meth:`SocketTransport.close` stop
-    broadcast and :func:`~repro.runtime.dist.join_workers`."""
-    return spawn_workers(["--connect", f"{host}:{port}",
-                          "--reconnect", str(reconnect_limit)],
-                         count, "sock", cache_dir=cache_dir,
-                         cache_enabled=cache_enabled,
-                         events_dir=events_dir)
+                         cache_dir: Optional[str] = None) -> List[Any]:
+    """Fork *count* workers (ids ``sock-N``) that the coordinator at
+    ``host:port`` does not own; wind them down with its
+    :meth:`SocketTransport.close` and :func:`join_workers`."""
+    return [fork_worker(host, port, f"sock-{index}", cache_dir)
+            for index in range(count)]
+
+
+def local_transport(workers: int = 1,
+                    shard_timeout: Optional[float] = None
+                    ) -> ShardTransport:
+    """The single-host transport for a run: in-process for one worker
+    without a shard timeout (nothing to fork, nothing to kill), else a
+    :class:`SocketTransport` on loopback owning *workers* forked ones."""
+    if workers <= 1 and shard_timeout is None:
+        return InProcessTransport()
+    return SocketTransport(shard_timeout=shard_timeout,
+                           workers=max(1, workers))

@@ -8,16 +8,16 @@
   written to the :class:`~repro.runtime.cache.ArtifactCache` the
   moment it arrives, so a run interrupted by anything (SIGKILL
   included) resumes for free from the cache;
-* **per-shard wall-clock timeouts** — a hung worker is killed (pipe
-  pool) or its lease reclaimed (socket fleet), and the
-  shard retried;
+* **per-shard wall-clock timeouts** — a hung worker's lease is
+  reclaimed (and the worker killed, if the transport forked it), and
+  the shard retried;
 * **bounded retries with deterministic classification** — a failed
   attempt is classified via :mod:`repro.faults.classify`:
   ``transient`` faults (and worker crashes/hangs) retry with capped
   exponential backoff, ``permanent``/``poison`` faults quarantine
   immediately;
-* **worker loss** — a crashed worker process is detected (pipe EOF or
-  an expired lease) and the attempt requeued; the run keeps going;
+* **worker loss** — a crashed worker is detected (its process exits or
+  its lease lapses) and the attempt requeued; the run keeps going;
 * **degraded-mode completion** — with ``allow_partial=True`` the run
   finishes with whatever rows survived, and the run record
   (:class:`~repro.runtime.result.RunManifest`, one
@@ -36,8 +36,8 @@ the one envelope conversion
 (:func:`~repro.runtime.transport.envelope_outcome`); the socket fleet
 adds a heartbeat and a pure lease-expiry step
 (:mod:`repro.runtime.dist`).  Without an injected transport each run
-gets :func:`~repro.runtime.transport.local_transport`: in-process for
-one worker without a shard timeout, otherwise the pipe pool.
+gets :func:`~repro.runtime.sock.local_transport`: in-process for one
+worker without a shard timeout, otherwise a forked loopback fleet.
 
 Determinism contract: supervision changes scheduling, never content.
 Workers stay pure functions of their payloads, results are reordered
@@ -56,7 +56,8 @@ from ..faults.classify import FaultClass, classify_exception
 from .cache import ArtifactCache
 from .executor import ShardSpec
 from .result import RunManifest, ShardAttempt, ShardState
-from .transport import ShardTransport, local_transport
+from .sock import local_transport
+from .transport import ShardTransport
 
 #: How long one transport poll blocks per supervision tick; bounds
 #: hang-detection latency.
@@ -125,7 +126,7 @@ class SupervisedExecutor:
         self.allow_partial = allow_partial
         #: An injected transport is shared across run_shards() calls
         #: and owned (closed) by its creator; None means a per-call
-        #: :func:`~repro.runtime.transport.local_transport`.
+        #: :func:`~repro.runtime.sock.local_transport`.
         self.transport = transport
         #: Optional telemetry hook: called with (state, info) at every
         #: dispatch/settle.  Observation only — never content.

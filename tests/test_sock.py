@@ -18,18 +18,20 @@ Five layers, in increasing realism:
   peer sockets: claims rebinding across reconnects, duplicate results
   merging to one outcome, junk costing exactly one connection, and
   expired leases classifying as crash vs hang;
-* end-to-end campaigns — the acceptance contract: serial == pipe ==
-  socket, byte-identical, including fleets behind a
+* end-to-end campaigns — the acceptance contract: serial == local
+  forked fleet == socket, byte-identical, including fleets behind a
   resetting/reordering/truncating chaos proxy, a coordinator that
-  dies mid-campaign, and SIGKILLed or hung real ``repro worker
-  --connect`` subprocesses.
+  dies mid-campaign, SIGKILLed or hung forked workers, and a real
+  ``repro worker --connect`` subprocess.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import socket
 import subprocess
+import sys
 import threading
 import time
 
@@ -58,7 +60,6 @@ from repro.runtime.dist import (
     classify_result,
     heartbeat,
     job_name,
-    join_workers,
 )
 from repro.runtime.executor import execute_job
 from repro.runtime.netchaos import (
@@ -84,6 +85,7 @@ from repro.runtime.sock import (
     decode_payload,
     encode_frame,
     frame_digest,
+    join_workers,
 )
 
 #: Small but multi-shard: 6 shards of 8 corpus records each.
@@ -863,18 +865,19 @@ class TestSharedFleetMachinery:
     def test_all_cached_fleet_run_starts_no_workers(self, tmp_path,
                                                     monkeypatch):
         """The owned fleet starts on the first dispatch, so a run served
-        entirely from cache never spawns (or waits on) a worker."""
+        entirely from cache never forks (or waits on) a worker."""
+        from repro.runtime import sock
         cache_dir = str(tmp_path / "cache")
         cold = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                               cache_dir=cache_dir)
         started = []
-        real_popen = subprocess.Popen
+        real_fork = sock.fork_worker
 
-        def counting_popen(*args, **kwargs):
+        def counting_fork(*args, **kwargs):
             started.append(args)
-            return real_popen(*args, **kwargs)
+            return real_fork(*args, **kwargs)
 
-        monkeypatch.setattr(subprocess, "Popen", counting_popen)
+        monkeypatch.setattr(sock, "fork_worker", counting_fork)
         warm = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                               workers=2, transport="socket",
                               cache_dir=cache_dir)
@@ -885,7 +888,7 @@ class TestSharedFleetMachinery:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: real `repro worker --connect` subprocesses
+# end-to-end: forked fleets and a real `repro worker --connect` process
 # ---------------------------------------------------------------------------
 
 def result_doc(result):
@@ -893,23 +896,49 @@ def result_doc(result):
 
 
 class TestEndToEndSocketFleet:
-    def test_serial_pipe_socket_byte_identity(self, tmp_path):
+    def test_serial_local_socket_byte_identity(self, tmp_path):
         """The acceptance contract: the same experiment through
-        serial, the pipe pool, and a 3-process TCP socket fleet merges
-        to identical bytes."""
+        serial, the local forked fleet, and a 3-process TCP socket
+        fleet merges to identical bytes."""
         serial = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                                 cache=False)
-        pipe = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
-                              workers=3,
-                              cache_dir=str(tmp_path / "pipe-cache"))
+        local = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
+                               workers=3,
+                               cache_dir=str(tmp_path / "local-cache"))
         sock = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                               workers=3, transport="socket",
                               listen="127.0.0.1:0",
                               cache_dir=str(tmp_path / "sock-cache"))
-        assert result_doc(serial) == result_doc(pipe) == result_doc(sock)
+        assert result_doc(serial) == result_doc(local) == result_doc(sock)
         assert sock.manifest is not None and sock.manifest.complete
         assert sock.manifest.computed == 6
         assert sock.manifest.workers == 3
+
+    def test_cli_worker_subprocess_serves_a_campaign(self, tmp_path,
+                                                     baseline):
+        """The external-fleet entry: a fresh ``python -m repro worker
+        --connect`` interpreter dials in, computes every shard, and
+        exits on the stop broadcast."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        transport = make_transport(lease_s=2.0, reclaim_grace_s=10.0)
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--connect",
+             f"{transport.host}:{transport.port}", "--id", "cli-0",
+             "--no-cache"],
+            env=env, stderr=subprocess.PIPE, text=True)
+        try:
+            executor = SupervisedExecutor(transport=transport)
+            outputs = executor.run_shards(plain_specs())
+        finally:
+            transport.close()
+            _out, err = worker.communicate(timeout=30.0)
+        assert output_bytes(outputs) == baseline
+        assert worker.returncode == 0
+        assert "worker cli-0: executed 6 shard(s)" in err
 
     def test_sigkilled_worker_mid_shard_recovers(self, tmp_path,
                                                  baseline):
@@ -976,6 +1005,15 @@ class TestEndToEndSocketFleet:
         out = capsys.readouterr().out
         assert code == 0
         assert "manifest: 0 cached, 4 computed" in out
+
+    def test_retired_transport_name_is_rejected(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "tbl2", "--transport", "pipe"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'pipe'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="unknown transport"):
+            run_experiment("tbl2", transport="pipe")
 
     def test_bad_listen_address_is_an_error(self, capsys):
         from repro.cli import main

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import time
 
 import pytest
@@ -20,7 +21,6 @@ from repro.faults import FaultClass, classify_exception
 from repro.runtime import (
     ArtifactCache,
     CorpusRunConfig,
-    PipePoolTransport,
     RunManifest,
     ShardQuarantinedError,
     ShardSpec,
@@ -31,6 +31,7 @@ from repro.runtime import (
 )
 from repro.runtime.chaos import chaos_wrap
 from repro.runtime.sharding import corpus_shards
+from repro.runtime.sock import local_transport
 
 #: Small but multi-shard: 6 shards of 8 corpus records each.
 CORPUS_CONFIG = CorpusRunConfig(corpus=CorpusConfig(size=48, seed=11),
@@ -144,30 +145,56 @@ class TestChaosRecovery:
         assert cache.load(key5) is not None
 
 
-class TestPipePool:
-    def test_workers_exit_once_the_coordinator_is_gone(self):
-        """A pool worker must read EOF when its coordinator dies, so no
-        worker may hold a coordinator-side pipe end open — neither its
-        own nor one inherited from a sibling forked before it."""
-        transport = PipePoolTransport(workers=3)
-        for ticket, spec in enumerate(plain_specs()[:3]):
+class TestForkedFleet:
+    def test_workers_exit_once_the_coordinator_is_gone(self, tmp_path):
+        """A forked worker must read EOF when its coordinator dies, so no
+        worker may hold a coordinator-side socket open: not the
+        listener, and not a sibling's connection.  A respawned worker
+        is forked after its siblings connected, so it inherits both;
+        it is frozen here, so it cannot let go of them by exiting."""
+        specs = plain_specs()[:3]
+        specs[0] = chaos_wrap(specs[0], "crash", 1,
+                              str(tmp_path / "scratch"))
+        transport = local_transport(workers=3, shard_timeout=60.0)
+        for ticket, spec in enumerate(specs):
             transport.dispatch(ticket, spec.worker, spec.payload)
-        processes = [worker.process for worker in transport._workers]
+        first = set(transport.fleet)
+        processes = list(transport.fleet.values())
         try:
             outcomes, deadline = [], time.perf_counter() + 60.0
             while len(outcomes) < 3 and time.perf_counter() < deadline:
                 outcomes.extend(transport.poll(0.5))
-            assert [o.outcome for o in outcomes] == ["ok"] * 3
-            for worker in transport._workers:
-                worker.conn.close()   # all a dead coordinator leaves
-            for process in processes:
+            crash, = [o for o in outcomes if o.ticket == 0]
+            assert crash.outcome == "crash"
+            assert crash.message == "worker exited (code 23)"
+            transport.dispatch(3, specs[0].worker, specs[0].payload)
+            respawned, = set(transport.fleet) - first
+            processes = list(transport.fleet.values())
+            while len(outcomes) < 4 and time.perf_counter() < deadline:
+                outcomes.extend(transport.poll(0.5))
+            assert sorted(o.outcome for o in outcomes) == \
+                ["crash", "ok", "ok", "ok"]
+            while respawned not in [p.worker_id for p in transport._peers]:
+                assert time.perf_counter() < deadline
+                transport.poll(0.1)
+            frozen = transport.fleet[respawned]
+            os.kill(frozen.pid, signal.SIGSTOP)
+            # All a dead coordinator leaves: its sockets closed, no
+            # stop broadcast.
+            for peer in transport._peers:
+                peer.sock.close()
+            transport._listener.close()
+            siblings = [p for p in processes if p is not frozen]
+            for process in siblings:
                 process.join(timeout=5.0)
-            assert not any(process.is_alive() for process in processes)
+            assert not any(process.is_alive() for process in siblings)
+            assert frozen.is_alive()
         finally:
             for process in processes:
                 if process.is_alive():
                     process.kill()
                     process.join(timeout=5.0)
+            transport.close()
 
 
 class TestQuarantine:
@@ -434,8 +461,8 @@ class TestRunExperimentSupervised:
         json.dumps(document)  # JSON-safe
 
     def test_supervised_equals_unsupervised(self, tmp_path):
-        """In-process (one worker, no cache) and a 3-worker pipe pool
-        merge to the same result."""
+        """In-process (one worker, no cache) and a 3-worker forked
+        fleet merge to the same result."""
         plain = run_experiment("sec4-deployment", config=CORPUS_CONFIG,
                                cache=False)
         supervised_result = run_experiment(

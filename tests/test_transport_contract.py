@@ -1,10 +1,13 @@
-"""Transport conformance suite: one contract, three mechanisms.
+"""Transport conformance suite: one contract, three harnesses.
 
 :class:`~repro.runtime.transport.ShardTransport` is the seam that
 keeps every topology byte-identical — the supervisor owns policy, the
 transport moves attempts.  This suite drives the *same* obligations
-through all three implementations (pipe pool, TCP socket fleet,
-in-process), each behind the worker harness it needs:
+through both implementations behind three worker harnesses, each the
+way a run uses it: ``pipe`` names the local forked fleet
+(:func:`~repro.runtime.sock.local_transport` with a shard timeout, a
+socket transport that owns its workers), ``socket`` a TCP coordinator
+with in-process workers dialing in, ``inprocess`` serial execution:
 
 * ``slots()`` is positive on a fresh transport;
 * every dispatched ticket is owed exactly one outcome, tagged with a
@@ -33,11 +36,11 @@ from repro.datasets import CorpusConfig
 from repro.runtime import (
     ArtifactCache,
     CorpusRunConfig,
-    PipePoolTransport,
     SocketTransport,
     SocketWorker,
 )
 from repro.runtime.sharding import corpus_shards
+from repro.runtime.sock import local_transport
 from repro.runtime.transport import ATTEMPT_OUTCOMES, InProcessTransport
 
 #: 4 shards of 8 corpus records: enough to see ordering, fast to run.
@@ -60,7 +63,7 @@ class Harness:
         self._threads: List[threading.Thread] = []
         self._workers: List[SocketWorker] = []
         if kind == "pipe":
-            self.transport = PipePoolTransport(workers=fleet)
+            self.transport = local_transport(fleet, shard_timeout=60.0)
         elif kind == "socket":
             self.transport = SocketTransport("127.0.0.1", 0,
                                              lease_s=0.5, poll_s=POLL_S)

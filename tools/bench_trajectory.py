@@ -125,21 +125,18 @@ def bench_dist_socket(workers: int) -> Dict[str, object]:
     """Cold+warm ``fig3`` over the TCP socket transport.
 
     The cold leg runs against an explicitly constructed
-    :class:`~repro.runtime.sock.SocketTransport` so the artifact can
-    record the wire telemetry (frames each way, reconnects, reclaims)
-    alongside wall time; the warm leg exercises the string-transport
-    path (``transport="socket"``) end to end, spawn and reap included.
+    :class:`~repro.runtime.sock.SocketTransport` that forks and owns its
+    fleet, so the artifact can record the wire telemetry (frames each
+    way, reconnects, reclaims) alongside wall time; the warm leg
+    exercises the string-transport path (``transport="socket"``) end
+    to end.
     """
-    from repro.runtime import (SocketTransport, run_experiment,
-                               spawn_socket_workers)
-    from repro.runtime.dist import join_workers
+    from repro.runtime import SocketTransport, run_experiment
 
     fleet = max(2, min(workers, 4))
     cache_dir = tempfile.mkdtemp(prefix="bench-dist-socket-")
-    transport = SocketTransport("127.0.0.1", 0)
+    transport = SocketTransport("127.0.0.1", 0, workers=fleet)
     try:
-        processes = spawn_socket_workers(
-            transport.host, transport.port, fleet, cache_dir=cache_dir)
         started = time.perf_counter()
         cold = run_experiment("fig3", workers=fleet, cache=True,
                               cache_dir=cache_dir, transport=transport,
@@ -148,7 +145,6 @@ def bench_dist_socket(workers: int) -> Dict[str, object]:
         stats = transport.stats()
     finally:
         transport.close()
-    join_workers(processes)
 
     try:
         started = time.perf_counter()

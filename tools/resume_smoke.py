@@ -16,7 +16,9 @@ Steps:
 1. start ``repro run fig3 --workers 4`` against a fresh
    cache directory;
 2. wait until at least one shard has been persisted, then SIGKILL the
-   process;
+   process, and require that its worker processes (the rest of its
+   process group) are gone within ``ORPHAN_WAIT_S``: a forked worker
+   must notice that its coordinator died;
 3. re-invoke the same command to completion (the resume);
 4. run the undisturbed serial baseline with the cache disabled;
 5. compare ``rows`` / ``series`` / ``summary`` exactly, and verify
@@ -40,6 +42,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 KILL_WAIT_S = 180.0
+ORPHAN_WAIT_S = 10.0
 ENTRIES_BEFORE_KILL = 2
 
 
@@ -66,6 +69,19 @@ def _cache_entries(cache_dir: str) -> int:
                if path.parent.name != "corrupt")
 
 
+def _group_alive(pgid: int) -> bool:
+    """Whether any process of group *pgid* still runs (zombies waiting
+    for a reaper count as gone)."""
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue                      # exited while we looked
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            return True
+    return False
+
+
 def _result_doc(stdout: str) -> dict:
     document = json.loads(stdout)
     return {"rows": document["rows"], "series": document["series"],
@@ -77,9 +93,12 @@ def main() -> int:
     shutil.rmtree(cache_dir, ignore_errors=True)
 
     # 1-2. Start the supervised run; SIGKILL it once shards are landing.
+    # Its own session, so its process group is exactly the run and the
+    # workers it forked.
     process = subprocess.Popen(_run_cmd(cache_dir), env=_env(),
                                stdout=subprocess.DEVNULL,
-                               stderr=subprocess.DEVNULL)
+                               stderr=subprocess.DEVNULL,
+                               start_new_session=True)
     deadline = time.time() + KILL_WAIT_S
     while (time.time() < deadline and process.poll() is None
            and _cache_entries(cache_dir) < ENTRIES_BEFORE_KILL):
@@ -91,6 +110,15 @@ def main() -> int:
     survivors = _cache_entries(cache_dir)
     if killed:
         print(f"killed mid-run with {survivors} shard(s) persisted")
+        deadline = time.time() + ORPHAN_WAIT_S
+        while _group_alive(process.pid):
+            if time.time() > deadline:
+                print(f"workers outlived their killed coordinator by "
+                      f"more than {ORPHAN_WAIT_S:g}s")
+                os.killpg(process.pid, signal.SIGKILL)
+                return 1
+            time.sleep(0.1)
+        print("every forked worker exited after the kill")
     else:
         # Machine too fast: the run finished before the kill window.
         # The resume leg still proves a full warm restore.
