@@ -856,8 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "quarantined (exit code 3)")
     run.add_argument("--shard-timeout", type=float, default=None,
                      metavar="SECONDS",
-                     help="reclaim and retry shards that run longer "
-                          "than this; a forked worker is killed (forks "
+                     help="the coordinator reclaims a shard as hung "
+                          "this long after a worker took it, kills the "
+                          "worker if it forked it, and retries (forks "
                           "one even at --workers 1)")
     run.add_argument("--retries", type=int, default=2,
                      help="extra attempts per shard beyond the first "

@@ -54,7 +54,6 @@ from .sock import (
     SocketWorker,
     connect_backoff,
     parse_address,
-    spawn_socket_workers,
 )
 from .result import (
     ExperimentResult,
@@ -105,5 +104,4 @@ __all__ = [
     "resolve_worker",
     "run_experiment",
     "shard_key",
-    "spawn_socket_workers",
 ]

@@ -68,9 +68,9 @@ def run_experiment(experiment_id: str,
         raising :class:`~repro.runtime.supervisor.ShardQuarantinedError`;
         the manifest says exactly what is missing and why.
     shard_timeout:
-        Per-shard wall-clock seconds before a worker is declared hung,
-        its lease reclaimed (and the worker killed, if the transport
-        forked it), and the shard retried.
+        Seconds from a worker taking a shard until the coordinator
+        reclaims it as a hang (killing the worker, if the transport
+        forked it), however alive the worker looks; the shard retries.
     max_retries:
         Extra attempts per shard beyond the first.
     transport:
@@ -90,10 +90,10 @@ def run_experiment(experiment_id: str,
         ``127.0.0.1:0`` — an ephemeral port the spawned fleet is
         pointed at automatically).
     lease_s:
-        Lease duration for the socket transport; a dead
-        worker is detected within about one lease of its last
-        heartbeat (scheduling only — deliberately NOT cache-key
-        material).
+        Lease duration for the socket transport, a liveness signal
+        only: a dead worker is reclaimed as a crash within about one
+        lease of its last heartbeat (scheduling only — deliberately NOT
+        cache-key material).
     spawn_workers:
         With ``transport="socket"``: fork up to *workers* local workers
         as shards are dispatched and stop them when the run ends

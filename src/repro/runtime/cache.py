@@ -170,12 +170,13 @@ class ArtifactCache:
         A well-formed entry has a valid header whose ``rows`` count
         matches the number of payload lines and whose ``digest``
         matches their bytes.  Anything else — truncation at a line
-        boundary included — is corruption, never a short read.
+        boundary or nesting too deep to parse included — is
+        corruption, never a short read.
         """
         lines = raw.split("\n")
         try:
             header = json.loads(lines[0])
-        except ValueError:
+        except (ValueError, RecursionError):
             return None
         if not isinstance(header, dict):
             return None
@@ -202,7 +203,7 @@ class ArtifactCache:
                     # has (accept the padding, reject the rest).
                     row = json.loads(line)
                 append(row)
-        except ValueError:
+        except (ValueError, RecursionError):
             return None
         return rows
 
@@ -280,7 +281,7 @@ class ArtifactCache:
             try:
                 header = json.loads(first)
                 report.rows += int(header.get("rows", 0))
-            except (ValueError, TypeError, AttributeError):
+            except (ValueError, TypeError, AttributeError, RecursionError):
                 pass  # a malformed header counts no rows; verify flags it
         corrupt_dir = self._corrupt_dir()
         if os.path.isdir(corrupt_dir):

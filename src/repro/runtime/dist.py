@@ -10,16 +10,15 @@ attempt moves through four states:
   :func:`job_name` is unique per attempt, so no two attempts can be
   confused.
 * **lease** — once a worker holds the job, the coordinator keeps one
-  :class:`Lease` for it: the carrying connection, the owner, and a
-  deadline.  The worker's :func:`heartbeat` thread renews it, and
-  stops renewing once the shard's wall-clock budget (the supervisor's
-  ``shard_timeout``) is spent.  A *hung* worker's lease therefore
-  lapses just like a *dead* worker's.
-* **reclaim** — a lapsed lease is a failed attempt
-  (:func:`classify_lease`, :func:`classify_expiry`): ``hang`` if the
-  budget was spent, ``crash`` otherwise.  The supervisor's
-  ``classify_exception`` policy then decides whether a fresh attempt
-  (a new ticket) is dispatched or the shard is quarantined.
+  :class:`Lease` for it: the carrying connection, the owner, when it
+  was claimed, and a deadline.  The worker's :func:`heartbeat` thread
+  renews the deadline for as long as the worker lives.
+* **reclaim** — the coordinator alone judges each attempt on its own
+  clock (:func:`classify_lease`): ``hang`` once the claim is older
+  than the supervisor's ``shard_timeout``, ``crash`` once the lease
+  lapsed unrenewed.  The supervisor's ``classify_exception`` policy
+  then decides whether a fresh attempt (a new ticket) is dispatched or
+  the shard is quarantined.
 * **result** — the first envelope that :func:`classify_result` finds
   valid for a leased job settles its ticket and retires the lease.
   Rows also land in the content-addressed cache under the single-host
@@ -76,7 +75,6 @@ def job_name(ticket: int, key: str = "") -> str:
 
 def job_document(ticket: int, worker: str, payload: Dict[str, Any],
                  key: str = "", label: str = "",
-                 timeout: Optional[float] = None,
                  lease_s: float = DEFAULT_LEASE_S) -> Dict[str, Any]:
     """One dispatched attempt, as the body of a ``JOB`` frame (pure;
     JSON-able).
@@ -92,25 +90,10 @@ def job_document(ticket: int, worker: str, payload: Dict[str, Any],
         "payload": payload,
         "key": key,
         "label": label,
-        "timeout": timeout,
         "lease_s": lease_s,
         "digest": stable_digest({"worker": worker, "payload": payload},
                                 length=16),
     }
-
-
-def classify_expiry(elapsed_s: float,
-                    timeout: Optional[float]) -> str:
-    """What an expired lease means (pure).
-
-    An attempt that outlived its wall-clock budget before its lease
-    lapsed stopped heartbeating *on purpose* — that is a ``hang``;
-    anything else went silent early, which is what death (or a network
-    partition) looks like — a ``crash``.  Either way the supervisor's
-    ``classify_exception`` policy decides retry vs. quarantine.
-    """
-    return "hang" if timeout is not None \
-        and elapsed_s >= float(timeout) else "crash"
 
 
 @dataclass
@@ -119,8 +102,8 @@ class Lease:
 
     *peer* is the connection carrying the attempt (None while its
     worker is disconnected) and *owner* the worker id it said HELLO
-    with.  A renewal moves only *expires_at*, so the age since
-    *claimed_at* still tells a hang from a crash.
+    with.  A renewal moves only *expires_at*: the shard timeout is
+    measured from *claimed_at*, however often the worker renews.
     """
 
     job: Dict[str, Any]
@@ -130,21 +113,26 @@ class Lease:
     expires_at: float
 
 
-def classify_lease(lease: Lease, now: float) -> Optional[AttemptOutcome]:
-    """The lease-expiry step (pure).
+def classify_lease(lease: Lease, now: float,
+                   shard_timeout: Optional[float] = None
+                   ) -> Optional[AttemptOutcome]:
+    """The reclaim step (pure).
 
-    None while *lease* is live at *now*; once it lapsed, the
-    ``crash``/``hang`` outcome (:func:`classify_expiry`) owed for the
-    attempt its job was dispatched as.
+    ``hang`` once the claim is *shard_timeout* seconds old at *now*,
+    however alive its worker looks; else ``crash`` once the lease
+    lapsed unrenewed, which is what death (or a network partition)
+    looks like; else None.  Either way the supervisor's
+    ``classify_exception`` policy decides retry vs. quarantine.
     """
-    if lease.expires_at > now:
-        return None
     elapsed_s = now - lease.claimed_at
-    timeout = lease.job.get("timeout")
-    outcome = classify_expiry(elapsed_s, timeout)
-    message = f"lease expired (owner {lease.owner}) after {elapsed_s:.2f}s"
-    if outcome == "hang":
-        message = f"exceeded shard timeout ({float(timeout):g}s); {message}"
+    where = f"(owner {lease.owner}) after {elapsed_s:.2f}s"
+    if shard_timeout is not None and elapsed_s >= shard_timeout:
+        outcome = "hang"
+        message = f"exceeded shard timeout ({shard_timeout:g}s) {where}"
+    elif lease.expires_at <= now:
+        outcome, message = "crash", f"lease expired {where}"
+    else:
+        return None
     return AttemptOutcome(
         ticket=lease.job["ticket"], outcome=outcome, message=message,
         elapsed_ms=elapsed_s * 1000.0, owner=lease.owner)
@@ -181,25 +169,17 @@ def classify_result(envelope: Dict[str, Any],
 # the worker-side lease renewal
 # ---------------------------------------------------------------------------
 
-def heartbeat(job: Dict[str, Any], renew: Callable[[int], bool],
+def heartbeat(job: Dict[str, Any], renew: Callable[[], bool],
               stop: threading.Event) -> None:
-    """Call ``renew(n)`` every third of a lease until *stop* is set.
+    """Call ``renew()`` every third of a lease until *stop* is set.
 
-    Two deliberate silences: once the job's wall-clock budget is spent
-    the lease is left to lapse, so the coordinator reclaims a *hang*
-    exactly as it reclaims a death; and once *renew* returns False (the
-    claim was retracted, the connection died) renewing again would only
-    fight the reclaim, so the attempt is forfeit.
+    The loop judges no budget: a hung shard's worker keeps renewing,
+    and the coordinator reclaims the hang at its deadline on its own
+    clock.  Once *renew* returns False (the connection died) renewing
+    again would only fight the reclaim, so the attempt is forfeit.
     """
     lease_s = float(job.get("lease_s") or DEFAULT_LEASE_S)
     interval = max(0.05, lease_s / 3.0)
-    timeout = job.get("timeout")
-    started = time.perf_counter()
-    renewals = 0
     while not stop.wait(interval):
-        if timeout is not None \
-                and time.perf_counter() - started > float(timeout):
-            return
-        renewals += 1
-        if not renew(renewals):
+        if not renew():
             return

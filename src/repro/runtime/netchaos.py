@@ -320,10 +320,13 @@ def _read_wire_frame(sock: socket.socket) -> Optional[bytes]:
 
 
 def _abort(sock: socket.socket) -> None:
-    """Close with RST (SO_LINGER 0), the abrupt way."""
+    """Close with RST (SO_LINGER 0), the abrupt way.  ``SHUT_RD`` first
+    wakes a thread blocked in ``recv`` or ``accept`` on *sock*, which
+    ``close`` alone does not: until it wakes, nothing is reset."""
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                         struct.pack("ii", 1, 0))
+        sock.shutdown(socket.SHUT_RD)
     except OSError:
         pass
     try:
@@ -352,6 +355,7 @@ class ChaosProxy:
         self.counts: Dict[str, int] = {
             "connections": 0, "frames": 0, "sends": 0, "resets": 0}
         self._closed = False
+        self._clients: List[socket.socket] = []
         self._threads: List[threading.Thread] = []
         self._listener = socket.socket(socket.AF_INET,
                                        socket.SOCK_STREAM)
@@ -368,11 +372,12 @@ class ChaosProxy:
         return self
 
     def stop(self) -> None:
-        self._closed = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        """Stop accepting and reset every client, one whose upstream
+        dial is still retrying included."""
+        with self._lock:
+            self._closed = True
+        for sock in [self._listener] + self._clients:
+            _abort(sock)
 
     def _count(self, key: str, amount: int = 1) -> None:
         with self._lock:
@@ -385,6 +390,10 @@ class ChaosProxy:
             except OSError:
                 return
             with self._lock:
+                if self._closed:
+                    _abort(client)
+                    return
+                self._clients.append(client)
                 ordinal = self.counts["connections"]
                 self.counts["connections"] += 1
             try:

@@ -32,14 +32,14 @@ The protocol, state by state:
 * **assign** — the coordinator sends ``JOB`` (a verbatim
   ``job_document``) to an idle worker and starts a
   :class:`~repro.runtime.dist.Lease` on its own clock; the worker's
-  heartbeat thread renews it with ``HEARTBEAT`` frames, and stops
-  renewing once the shard's wall-clock budget is spent, so a *hang*
-  expires like a *death*.
-* **reclaim** — an expired lease becomes a ``crash``/``hang``
-  attempt outcome through the pure lease-expiry step
-  (:func:`~repro.runtime.dist.classify_lease`), the worker gets
-  ``RETRACT``, and the supervisor's existing ``classify_exception``
-  policy decides retry vs. quarantine.
+  heartbeat thread renews it with ``HEARTBEAT`` frames while the
+  worker lives.
+* **reclaim** — the coordinator alone judges the clock, through the
+  pure reclaim step (:func:`~repro.runtime.dist.classify_lease`): a
+  claim older than the shard timeout is a ``hang`` (an owned worker is
+  killed at that moment), a lease that lapsed unrenewed a ``crash``.
+  The worker gets ``RETRACT``, and the supervisor's existing
+  ``classify_exception`` policy decides retry vs. quarantine.
 * **resume** — a worker that lost its connection mid-compute finishes
   the shard, redials, re-``HELLO``\\ s with the claim, and resends the
   result.  If the lease survived, the attempt is credited; if the job
@@ -101,8 +101,8 @@ BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
 #: Dial attempts before a worker gives the fleet up for dead.
 DEFAULT_RECONNECT_LIMIT = 8
-#: Default select cadence of the coordinator's poll loop.
-DEFAULT_POLL_S = 0.05
+#: Connect and send timeout of every dial.
+DIAL_TIMEOUT_S = 10.0
 
 
 class ProtocolError(Exception):
@@ -153,11 +153,11 @@ def decode_payload(payload: bytes) -> Tuple[str, Dict[str, Any]]:
 
     Anything that is not a digest-correct protocol frame raises
     :class:`JunkFrameError` — corruption and malice are handled by the
-    same door.
+    same door, nesting too deep for the parser's stack included.
     """
     try:
         document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
+    except (UnicodeDecodeError, ValueError, RecursionError):
         raise JunkFrameError("payload is not JSON")
     if not isinstance(document, dict):
         raise JunkFrameError("payload is not an object")
@@ -239,8 +239,7 @@ def parse_address(text: str) -> Tuple[str, int]:
 
 
 def dial(host: str, port: int, attempts: int = 40,
-         base_s: float = BACKOFF_BASE_S, cap_s: float = BACKOFF_CAP_S,
-         timeout_s: float = 10.0) -> socket.socket:
+         timeout_s: float = DIAL_TIMEOUT_S) -> socket.socket:
     """Connect to ``(host, port)``, retrying refusals with
     :func:`connect_backoff`.
 
@@ -258,7 +257,7 @@ def dial(host: str, port: int, attempts: int = 40,
         except (ConnectionRefusedError, ConnectionAbortedError,
                 ConnectionResetError) as exc:
             last = exc
-            time.sleep(connect_backoff(attempt, base_s, cap_s))
+            time.sleep(connect_backoff(attempt))
     raise last if last is not None else ConnectionRefusedError(
         f"could not reach {host}:{port}")
 
@@ -292,33 +291,25 @@ class SocketTransport(ShardTransport):
     is a :func:`~repro.runtime.dist.job_document` in that deque until a
     worker takes it; from then on it has one
     :class:`~repro.runtime.dist.Lease` in the lease table until a
-    result envelope settles it (:meth:`_handle_result`) or the lease
-    lapses (:meth:`_reclaim_expired`).  All lease deadlines live on
-    the coordinator's own monotonic clock, stamped when frames arrive,
-    so nothing is ever compared across machines.
+    result envelope settles it (:meth:`_handle_result`) or it is
+    reclaimed (:meth:`_reclaim_expired`).  All deadlines live on the
+    coordinator's own monotonic clock, stamped when frames arrive, so
+    nothing is ever compared across machines.
 
     *workers* is the size of the local fleet the transport forks, owns,
     and joins on ``close()``: each dispatch forks one more until there
     are *workers*, so a run served from cache forks none.  An owned
     worker's exit settles its leases as ``crash`` at once (its process
-    sentinel sits in the selector), a ``hang`` reclaim kills it, and a
-    dead one is replaced while work is waiting.
+    sentinel sits in the selector), a ``hang`` reclaim kills it at the
+    shard timeout, and a dead one is replaced while work is waiting.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  lease_s: float = DEFAULT_LEASE_S,
                  shard_timeout: Optional[float] = None,
-                 poll_s: float = DEFAULT_POLL_S,
-                 reclaim_grace_s: Optional[float] = None,
                  workers: int = 0) -> None:
         self.lease_s = float(lease_s)
         self.shard_timeout = shard_timeout
-        self.poll_s = poll_s
-        #: How long a fresh assignment may go unrenewed before it
-        #: counts as dead — covers a worker killed at the worst
-        #: possible instant.
-        self.reclaim_grace_s = reclaim_grace_s \
-            if reclaim_grace_s is not None else max(2.0 * self.lease_s, 1.0)
         self.workers = max(0, workers)
         #: worker id -> process handle of each live owned worker.
         self.fleet: Dict[str, Any] = {}
@@ -357,8 +348,7 @@ class SocketTransport(ShardTransport):
                  payload: Dict[str, Any], key: str = "",
                  label: str = "") -> None:
         self._pending.append(job_document(ticket, worker, payload, key,
-                                          label, self.shard_timeout,
-                                          self.lease_s))
+                                          label, self.lease_s))
         if len(self.fleet) < self.workers:
             self._fork()
 
@@ -366,7 +356,7 @@ class SocketTransport(ShardTransport):
         deadline = time.perf_counter() + timeout_s
         while True:
             remaining = deadline - time.perf_counter()
-            self._pump(max(0.0, min(self.poll_s, remaining)))
+            self._pump(max(0.0, remaining))
             self._assign_pending()
             outcomes, self._completed = self._completed, []
             outcomes.extend(self._reclaim_expired(time.perf_counter()))
@@ -577,13 +567,17 @@ class SocketTransport(ShardTransport):
                 continue
             now = time.perf_counter()
             peer.job_id = job["job"]
+            # A fresh claim's first deadline is longer than a lease:
+            # its worker must receive and decode the JOB frame and
+            # start its heartbeat before the first renewal.
             self._leases[job["job"]] = Lease(
                 job, peer, peer.worker_id, now,
-                now + max(self.lease_s, self.reclaim_grace_s))
+                now + max(2.0 * self.lease_s, 1.0))
 
     def _reclaim_expired(self, now: float) -> List[AttemptOutcome]:
-        """Expired leases become ``crash``/``hang`` attempt outcomes
-        (:func:`~repro.runtime.dist.classify_lease`), in job order.
+        """Hung claims and lapsed leases become ``hang``/``crash``
+        attempt outcomes (:func:`~repro.runtime.dist.classify_lease`),
+        in job order; a ``hang`` kills its owner if it is ours.
 
         A still-connected carrier gets ``RETRACT`` and keeps its busy
         mark — it is wedged inside (or still grinding on) the
@@ -594,7 +588,7 @@ class SocketTransport(ShardTransport):
         """
         outcomes: List[AttemptOutcome] = []
         for job_id, lease in sorted(self._leases.items()):
-            outcome = classify_lease(lease, now)
+            outcome = classify_lease(lease, now, self.shard_timeout)
             if outcome is None:
                 continue
             del self._leases[job_id]
@@ -666,8 +660,8 @@ class SocketWorker:
     step is :func:`~repro.runtime.executor.execute_job` (cache-first
     by shard key, a broad-except firewall whose exception *name* the
     coordinator classifies) under a
-    :func:`~repro.runtime.dist.heartbeat` that goes silent once the
-    shard's budget is spent.
+    :func:`~repro.runtime.dist.heartbeat` that renews the lease until
+    the shard finishes; the coordinator alone judges a hang.
 
     The worker survives the wire (with ``connect``/``disconnect``/
     ``reconnect`` worker events): a connection lost mid-compute does
@@ -680,7 +674,6 @@ class SocketWorker:
                  cache: Optional[ArtifactCache] = None,
                  events: Optional[Any] = None,
                  reconnect_limit: int = DEFAULT_RECONNECT_LIMIT,
-                 dial_timeout_s: float = 10.0,
                  backoff_base_s: float = BACKOFF_BASE_S,
                  backoff_cap_s: float = BACKOFF_CAP_S,
                  recv_timeout_s: float = 0.5) -> None:
@@ -692,7 +685,6 @@ class SocketWorker:
         self.host = host
         self.port = port
         self.reconnect_limit = max(0, reconnect_limit)
-        self.dial_timeout_s = dial_timeout_s
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.recv_timeout_s = recv_timeout_s
@@ -717,7 +709,7 @@ class SocketWorker:
                 break
             try:
                 sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.dial_timeout_s)
+                    (self.host, self.port), timeout=DIAL_TIMEOUT_S)
             except OSError:
                 failures += 1
                 if failures > self.reconnect_limit:
@@ -811,7 +803,7 @@ class SocketWorker:
         stop = threading.Event()
         beat = threading.Thread(
             target=heartbeat,
-            args=(job, lambda _renewal: self._renew(sock, lock, job), stop),
+            args=(job, lambda: self._renew(sock, lock, job), stop),
             daemon=True)
         beat.start()
         try:
@@ -845,7 +837,7 @@ class SocketWorker:
               kind: str, body: Dict[str, Any]) -> None:
         data = encode_frame(kind, body)
         with lock:
-            sock.settimeout(self.dial_timeout_s)
+            sock.settimeout(DIAL_TIMEOUT_S)
             try:
                 sock.sendall(data)
             finally:
@@ -905,15 +897,6 @@ def join_workers(processes: List[Any], timeout_s: float = 5.0) -> None:
         if process.is_alive():
             process.kill()
             process.join(timeout_s)
-
-
-def spawn_socket_workers(host: str, port: int, count: int,
-                         cache_dir: Optional[str] = None) -> List[Any]:
-    """Fork *count* workers (ids ``sock-N``) that the coordinator at
-    ``host:port`` does not own; wind them down with its
-    :meth:`SocketTransport.close` and :func:`join_workers`."""
-    return [fork_worker(host, port, f"sock-{index}", cache_dir)
-            for index in range(count)]
 
 
 def local_transport(workers: int = 1,

@@ -8,9 +8,9 @@
   written to the :class:`~repro.runtime.cache.ArtifactCache` the
   moment it arrives, so a run interrupted by anything (SIGKILL
   included) resumes for free from the cache;
-* **per-shard wall-clock timeouts** — a hung worker's lease is
-  reclaimed (and the worker killed, if the transport forked it), and
-  the shard retried;
+* **per-shard wall-clock timeouts** — a shard still running that long
+  after its worker took it is reclaimed on the transport's clock (and
+  the worker killed, if the transport forked it), and retried;
 * **bounded retries with deterministic classification** — a failed
   attempt is classified via :mod:`repro.faults.classify`:
   ``transient`` faults (and worker crashes/hangs) retry with capped

@@ -178,6 +178,28 @@ def test_stats_counts_a_malformed_header_without_rows(tmp_path, header):
                               for _key, path in cache.entries())
 
 
+@pytest.mark.parametrize("check", ["load", "verify"])
+def test_deeply_nested_header_is_quarantined(tmp_path, check):
+    """A header nested past the JSON parser's stack is corruption, not
+    a crash: *check* quarantines the entry and ``stats`` renders before
+    and after."""
+    cache = ArtifactCache(root=str(tmp_path / "c"))
+    key = shard_key("m:f", {"i": 0})
+    path = cache._path(key)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w") as stream:
+        stream.write("[" * 100_000 + "]" * 100_000 + '\n{"i": 0}\n')
+    stats = cache.stats()
+    assert (stats.entries, stats.rows) == (1, 0)
+    if check == "load":
+        assert cache.load(key) is None
+    else:
+        assert cache.verify().corrupt == [key]
+    assert not os.path.exists(path)
+    stats = cache.stats()
+    assert (stats.entries, stats.corrupt_entries) == (0, 1)
+
+
 class TestRecordCodec:
     def record(self, **overrides):
         fields = dict(vantage="Virginia", responder_url="http://ocsp.a/",

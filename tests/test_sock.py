@@ -6,8 +6,7 @@ Five layers, in increasing realism:
 
 * the pure lease-table functions (merge and classify contracts) —
   shape, determinism, the envelope-validation rules that make stale
-  zombies inert, and the lease-expiry step that tells a crash from a
-  hang;
+  zombies inert, and the reclaim step that tells a crash from a hang;
 * the pure frame codec — round trips, byte-at-a-time reassembly, and
   the typed protocol errors (junk, torn, oversized) that make a
   hostile byte stream a *connection* problem, never a campaign
@@ -16,8 +15,8 @@ Five layers, in increasing realism:
   mangle-step state machine, reproducible to the frame;
 * the coordinator's protocol state machine driven by hand-crafted
   peer sockets: claims rebinding across reconnects, duplicate results
-  merging to one outcome, junk costing exactly one connection, and
-  expired leases classifying as crash vs hang;
+  merging to one outcome, junk costing exactly one connection, lapsed
+  leases reclaimed as crashes and overdue claims as hangs;
 * end-to-end campaigns — the acceptance contract: serial == local
   forked fleet == socket, byte-identical, including fleets behind a
   resetting/reordering/truncating chaos proxy, a coordinator that
@@ -37,6 +36,7 @@ import time
 
 import pytest
 
+from repro.canon import text_digest
 from repro.datasets import CorpusConfig
 from repro.runtime import (
     ArtifactCache,
@@ -50,12 +50,10 @@ from repro.runtime import (
     parse_address,
     resolve_worker,
     run_experiment,
-    spawn_socket_workers,
 )
 from repro.runtime.chaos import chaos_wrap
 from repro.runtime.dist import (
     Lease,
-    classify_expiry,
     classify_lease,
     classify_result,
     heartbeat,
@@ -84,6 +82,7 @@ from repro.runtime.sock import (
     TruncatedFrameError,
     decode_payload,
     encode_frame,
+    fork_worker,
     frame_digest,
     join_workers,
 )
@@ -113,8 +112,6 @@ def baseline():
 
 def make_transport(**kwargs):
     kwargs.setdefault("lease_s", LEASE_S)
-    kwargs.setdefault("poll_s", POLL_S)
-    kwargs.setdefault("reclaim_grace_s", LEASE_S)
     return SocketTransport("127.0.0.1", 0, **kwargs)
 
 
@@ -167,35 +164,46 @@ def lease(job, claimed_at, expires_at, owner="w"):
 
 
 class TestLeaseStep:
-    """The pure lease-expiry step the coordinator reclaims through."""
+    """The pure reclaim step the coordinator judges every claim by."""
 
-    JOB = job_document(3, "m:f", {"x": 1}, timeout=1.0)
+    JOB = job_document(3, "m:f", {"x": 1})
 
     def test_live_lease_owes_nothing(self):
-        assert classify_lease(lease(self.JOB, 10.0, 10.5), 10.25) is None
+        live = lease(self.JOB, 10.0, 10.5)
+        assert classify_lease(live, 10.25) is None
+        assert classify_lease(live, 10.25, 1.0) is None
 
     def test_expiry_under_budget_is_a_crash(self):
-        outcome = classify_lease(lease(self.JOB, 10.0, 10.5), 10.5)
-        assert (outcome.ticket, outcome.outcome, outcome.owner) \
-            == (3, "crash", "w")
-        assert outcome.message == "lease expired (owner w) after 0.50s"
-        assert outcome.elapsed_ms == pytest.approx(500.0)
+        for shard_timeout in (None, 1.0):
+            outcome = classify_lease(lease(self.JOB, 10.0, 10.5), 10.5,
+                                     shard_timeout)
+            assert (outcome.ticket, outcome.outcome, outcome.owner) \
+                == (3, "crash", "w")
+            assert outcome.message == "lease expired (owner w) after 0.50s"
+            assert outcome.elapsed_ms == pytest.approx(500.0)
 
     def test_expiry_at_or_after_budget_is_a_hang(self):
-        held = lease(self.JOB, 10.0, 11.0)
-        assert classify_lease(held, 11.0).outcome == "hang"
-        assert classify_lease(held, 12.0).outcome == "hang"
-        unbounded = lease(job_document(3, "m:f", {"x": 1}), 10.0, 11.0)
-        assert classify_lease(unbounded, 12.0).outcome == "crash"
+        """The claim's age decides, whether or not the lease is live."""
+        renewing = lease(self.JOB, 10.0, 12.0)
+        assert classify_lease(renewing, 10.99, 1.0) is None
+        outcome = classify_lease(renewing, 11.0, 1.0)
+        assert (outcome.outcome, outcome.owner) == ("hang", "w")
+        assert outcome.message == \
+            "exceeded shard timeout (1s) (owner w) after 1.00s"
+        lapsed = lease(self.JOB, 10.0, 11.0)
+        assert classify_lease(lapsed, 12.0, 1.0).outcome == "hang"
+        assert classify_lease(lapsed, 12.0).outcome == "crash"
 
     def test_renewals_extend_the_deadline(self):
         first = lease(self.JOB, 10.0, 10.5)
         renewed = lease(self.JOB, 10.0, 10.9)     # renewed at 10.4
         assert classify_lease(first, 10.6) is not None
         assert classify_lease(renewed, 10.6) is None
-        # The claim's age, not the renewal's, decides crash vs hang.
         assert classify_lease(renewed, 10.9).elapsed_ms \
             == pytest.approx(900.0)
+        # A renewal never moves the shard timeout: it counts from the
+        # claim.
+        assert classify_lease(renewed, 10.6, 0.5).outcome == "hang"
 
 
 class TestHeartbeat:
@@ -205,9 +213,9 @@ class TestHeartbeat:
         reclaim."""
         calls = []
 
-        def renew(renewal):
-            calls.append(renewal)
-            return renewal < 2
+        def renew():
+            calls.append(len(calls) + 1)
+            return len(calls) < 2
 
         job = job_document(0, "m:f", {}, lease_s=0.15)
         heartbeat(job, renew, threading.Event())  # returns on its own
@@ -244,6 +252,8 @@ class TestFrameCodec:
                                  "digest": "0" * 16})
         with pytest.raises(JunkFrameError):
             decode_payload(bad_digest.encode())
+        with pytest.raises(JunkFrameError):
+            decode_payload(deep_hello()[4:])
 
     def test_digest_covers_the_body(self):
         wire = encode_frame("HEARTBEAT", {"worker": "w", "job": "j"})
@@ -301,6 +311,15 @@ class TestDialHelpers:
 # ---------------------------------------------------------------------------
 # pure chaos engine
 # ---------------------------------------------------------------------------
+
+def deep_hello(depth: int = 100_000) -> bytes:
+    """A HELLO wire frame, digest and all, whose claims nest *depth*
+    arrays: too deep for the JSON parser's stack."""
+    text = '{"claims":%s,"worker":"deep"}' % ("[" * depth + "]" * depth)
+    payload = ('{"body":%s,"digest":"%s","frame":"HELLO","v":1}' % (
+        text, text_digest(text))).encode()
+    return len(payload).to_bytes(4, "big") + payload
+
 
 def heartbeat_frames(count: int):
     return [encode_frame("HEARTBEAT", {"worker": "w", "job": str(i)})
@@ -415,6 +434,32 @@ class TestMangleEngine:
         assert netchaos_plan("passthrough").decide("s", 0) is PASS
 
 
+class TestChaosProxy:
+    def test_stop_resets_clients_and_refuses_new_ones(self):
+        """A stopped proxy holds no client, not even one accepted while
+        its upstream dial still retries against a dead coordinator."""
+        dead = socket.socket()
+        dead.bind(("127.0.0.1", 0))
+        upstream_port = dead.getsockname()[1]
+        dead.close()                 # nothing listens: dials are refused
+        proxy = ChaosProxy("127.0.0.1", upstream_port,
+                           netchaos_plan("passthrough")).start()
+        client = socket.create_connection((proxy.host, proxy.port),
+                                          timeout=5.0)
+        try:
+            time.sleep(0.2)          # accepted; the upstream dial retries
+            proxy.stop()
+            try:
+                assert client.recv(1) == b""
+            except ConnectionResetError:
+                pass
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection((proxy.host, proxy.port),
+                                         timeout=5.0)
+        finally:
+            client.close()
+
+
 # ---------------------------------------------------------------------------
 # the coordinator's protocol state machine (hand-crafted peers)
 # ---------------------------------------------------------------------------
@@ -520,6 +565,31 @@ class TestCoordinatorProtocol:
         finally:
             transport.close()
 
+    def test_deeply_nested_frame_costs_only_its_connection(
+            self, baseline):
+        """A frame nested past the parser's stack is junk like any
+        other: its sender loses its connection, and a well-behaved
+        worker still completes the campaign."""
+        transport = make_transport()
+        vandal = FakePeer(transport)
+        worker = SocketWorker(transport.host, transport.port, "honest",
+                              cache=ArtifactCache(enabled=False),
+                              recv_timeout_s=0.05)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        try:
+            vandal.send_raw(deep_hello())
+            assert vandal.recv_frames(1, timeout_s=2.0) == []  # dropped
+            assert transport.stats()["protocol_errors"] == 1
+            thread.start()
+            outputs = SupervisedExecutor(
+                transport=transport).run_shards(plain_specs())
+        finally:
+            transport.close()
+            vandal.close()
+            thread.join(timeout=10.0)
+        assert output_bytes(outputs) == baseline
+        assert transport.stats()["protocol_errors"] == 1
+
     def test_frame_before_hello_is_junk(self):
         transport = make_transport()
         try:
@@ -562,7 +632,7 @@ class TestCoordinatorProtocol:
             transport.close()
 
     def test_abandoned_lease_is_reclaimed_as_crash(self):
-        transport = make_transport(lease_s=0.2, reclaim_grace_s=0.2)
+        transport = make_transport(lease_s=0.2)
         try:
             transport.dispatch(0, "m:f", {"x": 1})
             peer = FakePeer(transport)
@@ -584,8 +654,8 @@ class TestCoordinatorProtocol:
             transport.close()
 
     def test_expiry_past_budget_is_a_hang(self):
-        transport = make_transport(lease_s=0.2, reclaim_grace_s=0.2,
-                                   shard_timeout=0.01)
+        # The timeout must outlast recv_frames, which drops outcomes.
+        transport = make_transport(lease_s=0.2, shard_timeout=0.3)
         try:
             transport.dispatch(0, "m:f", {"x": 1})
             peer = FakePeer(transport)
@@ -597,8 +667,41 @@ class TestCoordinatorProtocol:
         finally:
             transport.close()
 
+    def test_renewing_peer_is_reclaimed_at_the_deadline(self):
+        """The coordinator alone judges a shard's budget: a claim whose
+        worker keeps renewing is reclaimed as ``hang`` at the shard
+        timeout, long before its 5 s lease could lapse."""
+        transport = make_transport(lease_s=5.0, shard_timeout=0.3)
+        try:
+            transport.dispatch(0, "m:f", {"x": 1})
+            peer = FakePeer(transport)
+            peer.hello(worker="busy")
+            (kind, job), = peer.recv_frames(1)
+            assert kind == "JOB"
+            # recv_frames drops outcomes, so the reclaim must land here.
+            outcomes = []
+            deadline = time.perf_counter() + 3.0
+            while not outcomes and time.perf_counter() < deadline:
+                peer.send("HEARTBEAT", {"worker": "busy",
+                                        "job": job["job"]})
+                outcomes = transport.poll(POLL_S)
+            outcome, = outcomes
+            assert (outcome.outcome, outcome.owner) == ("hang", "busy")
+            assert outcome.message.startswith(
+                "exceeded shard timeout (0.3s) (owner busy) after ")
+            # One poll tick of lateness, with slack for a loaded host.
+            assert 300.0 <= outcome.elapsed_ms < 300.0 + 150.0
+            frames = peer.recv_frames(1)
+            assert frames and frames[0][0] == "RETRACT"
+            stats = transport.stats()
+            assert stats["jobs_reclaimed"] == 1
+            assert stats["protocol_errors"] == 0
+            peer.close()
+        finally:
+            transport.close()
+
     def test_reconnect_rebinds_the_claim(self):
-        transport = make_transport(lease_s=5.0, reclaim_grace_s=5.0)
+        transport = make_transport(lease_s=5.0)
         try:
             transport.dispatch(0, "m:f", {"x": 1})
             first = FakePeer(transport)
@@ -619,7 +722,7 @@ class TestCoordinatorProtocol:
             transport.close()
 
     def test_stale_result_for_reclaimed_job_is_dropped(self):
-        transport = make_transport(lease_s=0.2, reclaim_grace_s=0.2)
+        transport = make_transport(lease_s=0.2)
         try:
             transport.dispatch(0, "m:f", {"x": 1})
             peer = FakePeer(transport)
@@ -660,11 +763,6 @@ class TestCoordinatorProtocol:
         assert outcome.type_name == "TransientShardError"
         assert transport.stats()["jobs_reclaimed"] == 0
 
-    def test_classify_expiry_is_the_shared_rule(self):
-        assert classify_expiry(0.5, None) == "crash"
-        assert classify_expiry(0.5, 1.0) == "crash"
-        assert classify_expiry(1.5, 1.0) == "hang"
-
     def test_close_is_idempotent_and_broadcasts_stop(self):
         transport = make_transport()
         peer = FakePeer(transport)
@@ -698,7 +796,6 @@ class TestSupervisedSocket:
     def run_supervised(self, tmp_path, specs, plan=None, fleet=2,
                        lease_s=0.4, max_retries=6, shard_timeout=None):
         transport = SocketTransport("127.0.0.1", 0, lease_s=lease_s,
-                                    poll_s=POLL_S,
                                     shard_timeout=shard_timeout)
         proxy = None
         host, port = transport.host, transport.port
@@ -895,6 +992,13 @@ def result_doc(result):
     return {"rows": result.rows, "summary": result.summary}
 
 
+def unowned_workers(transport, cache, count=3):
+    """Fork *count* workers the coordinator does not own: it neither
+    reaps nor kills them, so only their leases tell it their fate."""
+    return [fork_worker(transport.host, transport.port, f"sock-{index}",
+                        cache.root) for index in range(count)]
+
+
 class TestEndToEndSocketFleet:
     def test_serial_local_socket_byte_identity(self, tmp_path):
         """The acceptance contract: the same experiment through
@@ -924,7 +1028,7 @@ class TestEndToEndSocketFleet:
             os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, env.get("PYTHONPATH")]))
-        transport = make_transport(lease_s=2.0, reclaim_grace_s=10.0)
+        transport = make_transport(lease_s=2.0)
         worker = subprocess.Popen(
             [sys.executable, "-m", "repro", "worker", "--connect",
              f"{transport.host}:{transport.port}", "--id", "cli-0",
@@ -950,11 +1054,8 @@ class TestEndToEndSocketFleet:
         specs[1] = chaos_wrap(specs[1], "crash", 1,
                               str(tmp_path / "scratch"))
         cache = ArtifactCache(root=str(tmp_path / "cache"))
-        transport = SocketTransport("127.0.0.1", 0, lease_s=LEASE_S,
-                                    poll_s=POLL_S,
-                                    reclaim_grace_s=2.0)
-        workers = spawn_socket_workers(transport.host, transport.port,
-                                       3, cache_dir=cache.root)
+        transport = SocketTransport("127.0.0.1", 0, lease_s=LEASE_S)
+        workers = unowned_workers(transport, cache)
         try:
             executor = SupervisedExecutor(cache=cache,
                                           transport=transport,
@@ -970,19 +1071,17 @@ class TestEndToEndSocketFleet:
 
     def test_hung_worker_lease_expires_and_recovers(self, tmp_path,
                                                     baseline):
-        """Chaos hang inside a real `repro worker --connect` process:
-        the heartbeat stops renewing once the shard's budget is spent,
-        the lease expires, and the reclaim reports a hang; the retry
-        lands on another worker."""
+        """Chaos hang inside a forked worker the coordinator does not
+        own: the worker keeps renewing, the coordinator reclaims the
+        claim at the shard timeout and reports a hang; the retry lands
+        on another worker."""
         specs = plain_specs()
         specs[2] = chaos_wrap(specs[2], "hang", 1,
                               str(tmp_path / "scratch"), hang_s=30.0)
         cache = ArtifactCache(root=str(tmp_path / "cache"))
         transport = SocketTransport("127.0.0.1", 0, lease_s=0.5,
-                                    shard_timeout=1.0, poll_s=POLL_S,
-                                    reclaim_grace_s=2.0)
-        workers = spawn_socket_workers(transport.host, transport.port,
-                                       3, cache_dir=cache.root)
+                                    shard_timeout=1.0)
+        workers = unowned_workers(transport, cache)
         try:
             executor = SupervisedExecutor(cache=cache,
                                           transport=transport,

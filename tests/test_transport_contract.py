@@ -46,7 +46,6 @@ from repro.runtime.transport import ATTEMPT_OUTCOMES, InProcessTransport
 #: 4 shards of 8 corpus records: enough to see ordering, fast to run.
 CORPUS_CONFIG = CorpusRunConfig(corpus=CorpusConfig(size=32, seed=13),
                                 shards=4)
-POLL_S = 0.02
 
 TRANSPORTS = ("pipe", "socket", "inprocess")
 
@@ -66,7 +65,7 @@ class Harness:
             self.transport = local_transport(fleet, shard_timeout=60.0)
         elif kind == "socket":
             self.transport = SocketTransport("127.0.0.1", 0,
-                                             lease_s=0.5, poll_s=POLL_S)
+                                             lease_s=0.5)
             for index in range(fleet):
                 worker = SocketWorker(
                     self.transport.host, self.transport.port,
