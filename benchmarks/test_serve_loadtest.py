@@ -2,7 +2,7 @@
 
 The ``serve-loadtest`` experiment replays a seeded corpus-derived
 request stream two ways: through the daemon's serving application
-(pre-signed cache + micro-batched signing) and through the in-process
+(pre-signed cache, misses signed inline) and through the in-process
 transport-neutral responder core.  The two must be byte-identical for
 every request — the whole point of the transport-neutral API — and the
 warm-cache path must sustain daemon-grade throughput.
@@ -26,8 +26,7 @@ def test_serve_loadtest(benchmark):
           f"mismatches: {summary['identity_mismatches']}")
     print(f"  warm-cache: {summary['req_per_s']:.0f} req/s  "
           f"p50 {summary['p50_ms']:.3f} ms  p99 {summary['p99_ms']:.3f} ms")
-    print(f"  cache hit rate: {summary['cache_hit_rate']:.3f}  "
-          f"largest batch: {summary['largest_batch']}")
+    print(f"  cache hit rate: {summary['cache_hit_rate']:.3f}")
 
     # The whole point: the daemon path answers byte-identically to the
     # in-process responder core for every request in the stream.

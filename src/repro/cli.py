@@ -641,8 +641,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     world, now = _serve_world(args)
     app = ServeApp.for_world(world, now=now,
-                             cache_capacity=args.cache_capacity,
-                             max_batch=args.max_batch)
+                             cache_capacity=args.cache_capacity)
     access_log = None
     if args.access_log:
         from .monitor import EventLogWriter
@@ -690,8 +689,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                                  get_fraction=args.get_fraction,
                                  nonce_fraction=args.nonce_fraction)
     if args.inprocess:
-        app = ServeApp.for_world(world, now=now,
-                                 max_batch=args.max_batch)
+        app = ServeApp.for_world(world, now=now)
         report = replay_inprocess(app, traffic)
     else:
         try:
@@ -1088,8 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: world start + 1h)")
     serve.add_argument("--cache-capacity", type=int, default=65536,
                        help="pre-signed cache entries per responder")
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="signing micro-batch bound")
     serve.add_argument("--access-log", default=None, metavar="PATH",
                        help="write one MonitorEvent JSONL line per served "
                             "request ('repro monitor' reads this)")
@@ -1113,8 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fraction preferring RFC 6960 A.1 GET")
     loadgen.add_argument("--nonce-fraction", type=float, default=0.02,
                          help="fraction carrying a cache-busting nonce")
-    loadgen.add_argument("--max-batch", type=int, default=64,
-                         help="signing micro-batch bound (--inprocess)")
     loadgen.add_argument("--inprocess", action="store_true",
                          help="replay through the serving app directly, "
                               "no daemon needed")

@@ -195,8 +195,6 @@ class ServeLoadTestConfig(FieldCodec):
     get_fraction: float = 0.25
     #: Fraction carrying a fresh nonce (cache-busting misses).
     nonce_fraction: float = 0.02
-    #: SignQueue micro-batch bound.
-    max_batch: int = 64
     #: Contiguous request-range slices — the identity-shard granularity.
     chunks: int = 8
 
@@ -313,7 +311,7 @@ def default_config(experiment_id: str, scale: Optional[object] = None):
         # A smaller world than the figure campaigns: the load test
         # exercises the serving stack, not the measurement breadth,
         # and 4000 requests over ~3 dozen sites already drives the
-        # cache through hits, nonce misses, and batch coalescing.
+        # cache through hits and nonce misses.
         return ServeLoadTestConfig(
             world=WorldConfig(n_responders=min(20, scale.n_responders),
                               certs_per_responder=2, seed=scale.seed))

@@ -347,12 +347,14 @@ class SocketTransport(ShardTransport):
     def dispatch(self, ticket: int, worker: str,
                  payload: Dict[str, Any], key: str = "",
                  label: str = "") -> None:
+        self._check_open()
         self._pending.append(job_document(ticket, worker, payload, key,
                                           label, self.lease_s))
         if len(self.fleet) < self.workers:
             self._fork()
 
     def poll(self, timeout_s: float) -> List[AttemptOutcome]:
+        self._check_open()
         deadline = time.perf_counter() + timeout_s
         while True:
             remaining = deadline - time.perf_counter()
@@ -397,9 +399,12 @@ class SocketTransport(ShardTransport):
 
     # -- socket pump --------------------------------------------------
 
-    def _pump(self, wait_s: float) -> None:
+    def _check_open(self) -> None:
+        """A closed transport has no listener, selector or fleet."""
         if self._closed:
-            return
+            raise RuntimeError("transport closed")
+
+    def _pump(self, wait_s: float) -> None:
         for key, _mask in self._selector.select(wait_s):
             if key.data is None:
                 self._accept()

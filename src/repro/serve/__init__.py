@@ -5,14 +5,13 @@ The transport-neutral responder core
 transport the repo has: the simulated network
 (:func:`repro.simnet.ocsp_service`), this package's asyncio daemon,
 and the in-process load generator.  :class:`ServeApp` adds what a real
-responder deployment adds — Host routing, a pre-signed response cache
-with nextUpdate-aware refresh, and micro-batched signing of misses —
-without touching response bytes, so a daemon answer is byte-identical
-to the simulated responder's answer for the same (request, clock).
+responder deployment adds — Host routing and a pre-signed response
+cache with nextUpdate-aware refresh, signing each miss inline — without
+touching response bytes, so a daemon answer is byte-identical to the
+simulated responder's answer for the same (request, clock).
 """
 
-from .app import PendingSign, ResponderRuntime, ServeApp
-from .batcher import SignJob, SignQueue
+from .app import ResponderRuntime, ServeApp
 from .cache import CacheEntry, PresignedCache
 from .daemon import MAX_BODY_BYTES, MAX_HEADER_BYTES, ServeDaemon
 from .loadgen import (
@@ -30,13 +29,10 @@ __all__ = [
     "LoadReport",
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
-    "PendingSign",
     "PresignedCache",
     "ResponderRuntime",
     "ServeApp",
     "ServeDaemon",
-    "SignJob",
-    "SignQueue",
     "direct_responses",
     "expected_digest",
     "loadgen_gate",

@@ -1,18 +1,18 @@
-"""The serving application: Host routing, pre-signed cache, batching.
+"""The serving application: Host routing and the pre-signed cache.
 
 :class:`ServeApp` is everything the daemon does *except* sockets, so
 the in-process load generator, the experiment shards, and the asyncio
 transport all exercise the same code.  One request flows::
 
-    HTTPRequest --dispatch--> cache hit   -> HTTPResponse     (warm path)
-                          --> PendingSign -> SignQueue -> responder core
+    HTTPRequest --exchange--> cache hit -> HTTPResponse       (warm path)
+                          --> miss      -> responder core -> HTTPResponse
 
-The warm path is two dict lookups; only cache misses reach the
-:class:`~repro.serve.batcher.SignQueue`, whose thunks call the same
+The warm path is two dict lookups; a miss is signed inline by the same
 transport-neutral :meth:`~repro.ca.responder.OCSPResponder.handle`
 core that answers in-process simnet traffic — which is why a daemon
 response is byte-identical to the simulated responder's answer for the
-same (request bytes, simulated clock).
+same (request bytes, simulated clock).  A repeat of a miss is a cache
+hit, so the same request bytes are signed once per epoch.
 
 Cache correctness mirrors the core's own keying exactly: an entry is
 only served while the responder's *generation epoch key* — its
@@ -25,15 +25,13 @@ fencepost).  Responders whose bodies vary with time outside that key
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 from ..asn1.errors import ASN1Error
 from ..ca.responder import OCSPResponder
 from ..monitor.events import MonitorEvent
 from ..ocsp import OCSPRequest, ResponseArtifact
 from ..simnet.http import HTTPRequest, HTTPResponse, decode_ocsp_get_path
-from .batcher import SignQueue
 from .cache import PresignedCache
 
 
@@ -90,32 +88,15 @@ class ResponderRuntime:
             return b"raw:" + request_der[:64]
 
 
-@dataclass
-class PendingSign:
-    """A dispatch outcome that needs the signing queue (cache miss)."""
-
-    host: str
-    runtime: ResponderRuntime
-    request_der: Optional[bytes]
-    now: int
-
-    def queue_key(self) -> Tuple:
-        return (self.host, self.request_der, self.now)
-
-    def signer(self):
-        runtime, der, now = self.runtime, self.request_der, self.now
-        return lambda: runtime.sign(der, now)
-
-
 class ServeApp:
     """Host-routed OCSP serving over any transport."""
 
-    def __init__(self, now: int, cache_capacity: int = 65536,
-                 max_batch: int = 64) -> None:
+    def __init__(self, now: int, cache_capacity: int = 65536) -> None:
         self.now = now
-        self.queue = SignQueue(max_batch=max_batch)
         self.runtimes: Dict[str, ResponderRuntime] = {}
         self.requests = 0
+        #: Misses the responder core answered.
+        self.signed = 0
         self.cache_capacity = cache_capacity
         #: When set, every served request emits one ``access``
         #: :class:`~repro.monitor.events.MonitorEvent` here (the
@@ -126,14 +107,12 @@ class ServeApp:
 
     @classmethod
     def for_world(cls, world, now: Optional[int] = None,
-                  cache_capacity: int = 65536,
-                  max_batch: int = 64) -> "ServeApp":
+                  cache_capacity: int = 65536) -> "ServeApp":
         """Serve every responder of a measurement world, Host-routed."""
         from ..simnet.clock import HOUR
         if now is None:
             now = world.config.start + HOUR
-        app = cls(now=now, cache_capacity=cache_capacity,
-                  max_batch=max_batch)
+        app = cls(now=now, cache_capacity=cache_capacity)
         for site in world.sites:
             app.add_responder(site.hostname, site.responder)
         return app
@@ -142,22 +121,35 @@ class ServeApp:
         self.runtimes[host] = ResponderRuntime(
             responder, cache_capacity=self.cache_capacity)
 
-    def dispatch(self, request: HTTPRequest,
-                 now: Optional[int] = None
-                 ) -> Union[HTTPResponse, PendingSign]:
-        """Route one request to an immediate answer or a pending sign.
+    def exchange(self, request: HTTPRequest,
+                 now: Optional[int] = None) -> HTTPResponse:
+        """Answer one request and log its access event.
+
+        The one entry point of every transport: the in-process replay
+        and the daemon call it for each OCSP request.
+        """
+        response, source = self.dispatch(request, now)
+        self.log_access(request.host, request.method,
+                        response.status_code, len(response.body), source)
+        return response
+
+    def dispatch(self, request: HTTPRequest, now: Optional[int] = None
+                 ) -> Tuple[HTTPResponse, str]:
+        """Route one request: its response and serving-path ``source``.
 
         Mirrors :func:`repro.simnet.ocsp_http_exchange` exactly: POST
         bodies and GET base64 paths carry the DER; an undecodable GET
         path flows to the core as ``request_der=None``; other methods
-        are 405.  The only addition is the pre-signed fast path.
+        are 405.  The only addition is the pre-signed fast path; a
+        miss is signed inline.  perfbench's tracer wraps this method
+        by name as its ``serve.app.dispatch`` layer.
         """
         if now is None:
             now = self.now
         self.requests += 1
         runtime = self.runtimes.get(request.host)
         if runtime is None:
-            return HTTPResponse(404, b"unknown responder host")
+            return HTTPResponse(404, b"unknown responder host"), "error"
         if request.method == "POST":
             request_der: Optional[bytes] = request.body
         elif request.method == "GET":
@@ -166,37 +158,22 @@ class ServeApp:
             except ValueError:
                 request_der = None
         else:
-            return HTTPResponse(405, b"method not allowed")
+            return HTTPResponse(405, b"method not allowed"), "error"
         if request_der is not None:
             artifact = runtime.lookup(request_der, now)
             if artifact is not None:
-                return artifact.to_http()
-        return PendingSign(host=request.host, runtime=runtime,
-                           request_der=request_der, now=now)
-
-    def exchange(self, request: HTTPRequest,
-                 now: Optional[int] = None) -> HTTPResponse:
-        """Synchronous end-to-end answer (the in-process transport)."""
-        outcome = self.dispatch(request, now)
-        if isinstance(outcome, HTTPResponse):
-            response = outcome
-            source = "cache" if outcome.status_code == 200 else "error"
-        else:
-            job = self.queue.submit(outcome.queue_key(), outcome.signer())
-            self.queue.drain()
-            assert job.artifact is not None
-            response = job.artifact.to_http()
-            source = "signed"
-        self.log_access(request.host, request.method,
-                        response.status_code, len(response.body), source)
-        return response
+                response = artifact.to_http()
+                return response, ("cache" if response.status_code == 200
+                                  else "error")
+        self.signed += 1
+        return runtime.sign(request_der, now).to_http(), "signed"
 
     def log_access(self, host: str, method: str, status: int,
                    size: int, source: str) -> None:
         """Emit one ``access`` event to the sink, if one is attached.
 
         ``source`` tags the serving path — ``cache`` (pre-signed fast
-        path), ``signed`` (went through the SignQueue), ``error``
+        path), ``signed`` (a miss the responder core answered), ``error``
         (404/405 before any responder), ``control`` (the daemon's
         ``/-/`` endpoints) — not OCSP semantics: a signed OCSP error
         envelope is still ``signed``.  ``ts`` is the app's simulated
@@ -228,7 +205,7 @@ class ServeApp:
             "requests": self.requests,
             "cache": cache_totals,
             "cache_by_host": cache_by_host,
-            "batcher": self.queue.stats(),
+            "signed": self.signed,
             "access": {"events": self.access_events,
                        "enabled": self.access_sink is not None},
         }

@@ -3,15 +3,16 @@
 A thin HTTP/1.1 transport over :class:`~repro.serve.app.ServeApp`:
 per-connection read loops parse requests (POST bodies and RFC 6960
 appendix A.1 GET paths, keep-alive, pipelined clients), route on the
-``Host`` header, and answer from the shared serving application.  The
+``Host`` header, and answer each OCSP request with one synchronous
+:meth:`ServeApp.exchange` (a cache miss is signed inline).  The
 daemon serves a **fixed simulated clock** — it is the measured thing,
 not a measurement, so it never reads wall time; byte-identity with the
 in-process responder holds because both see the same ``now``.
 
-Cache misses are signed through the app's :class:`SignQueue`: each
-miss parks on an asyncio future and schedules a single queue drain on
-the event loop, so every miss that arrives in one scheduling tick is
-signed in one micro-batch.
+Connections persist per RFC 9112 §9.3: an HTTP/1.1 request keeps the
+connection open unless it says ``Connection: close``; an HTTP/1.0
+request closes it unless it says ``Connection: keep-alive``.  The
+answer to a closing request carries ``Connection: close``.
 
 Robustness contract (exercised by the hostile-client tests): malformed
 request lines, oversized headers or bodies, undecodable OCSP payloads,
@@ -27,7 +28,7 @@ import json
 from typing import Optional, Tuple
 
 from ..simnet.http import HTTPRequest, HTTPResponse
-from .app import PendingSign, ServeApp
+from .app import ServeApp
 
 #: Hard caps: one request's header block and body.
 MAX_HEADER_BYTES = 16 * 1024
@@ -63,8 +64,11 @@ def render_response(response: HTTPResponse, keep_alive: bool) -> bytes:
 
 
 async def read_request(reader: asyncio.StreamReader
-                       ) -> Optional[Tuple[str, str, str, bytes]]:
-    """Read one request: (method, path, host, body); None on clean EOF.
+                       ) -> Optional[Tuple[str, str, str, bytes, str, str]]:
+    """Read one request; None on clean EOF.
+
+    Returns (method, path, host, body, version, connection), where
+    *connection* is the ``Connection`` header ("" when absent).
 
     Raises :class:`ProtocolError` for anything malformed and lets
     connection-level exceptions (EOF mid-request, resets) propagate to
@@ -105,7 +109,7 @@ async def read_request(reader: asyncio.StreamReader
     if length > MAX_BODY_BYTES:
         raise ProtocolError(413, b"request body too large")
     body = await reader.readexactly(length) if length else b""
-    return method, path, host, body
+    return method, path, host, body, version, headers.get("connection", "")
 
 
 class ServeDaemon:
@@ -120,7 +124,6 @@ class ServeDaemon:
         self.protocol_errors = 0
         self.dropped_connections = 0
         self._server: Optional[asyncio.base_events.Server] = None
-        self._drain_scheduled = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -164,8 +167,12 @@ class ServeDaemon:
                     break
                 if parsed is None:
                     break
-                method, path, host, body = parsed
-                response = await self._respond(method, path, host, body)
+                method, path, host, body, version, connection = parsed
+                tokens = {token.strip().lower()
+                          for token in connection.split(",")}
+                keep_alive = "close" not in tokens and (
+                    version != "HTTP/1.0" or "keep-alive" in tokens)
+                response = self._respond(method, path, host, body)
                 writer.write(render_response(response, keep_alive))
                 await writer.drain()
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
@@ -177,49 +184,16 @@ class ServeDaemon:
         finally:
             writer.close()
 
-    async def _respond(self, method: str, path: str, host: str,
-                       body: bytes) -> HTTPResponse:
+    def _respond(self, method: str, path: str, host: str,
+                 body: bytes) -> HTTPResponse:
+        host = host or "unknown.invalid"
         if path.startswith(CONTROL_PREFIX):
             response = self._control(method, path)
-            self.app.log_access(host or "unknown.invalid", method,
-                                response.status_code,
+            self.app.log_access(host, method, response.status_code,
                                 len(response.body), "control")
             return response
-        request = HTTPRequest(method=method,
-                              url=f"http://{host or 'unknown.invalid'}{path}",
-                              body=body)
-        outcome = self.app.dispatch(request)
-        if isinstance(outcome, HTTPResponse):
-            response = outcome
-            source = "cache" if outcome.status_code == 200 else "error"
-        else:
-            response = await self._sign(outcome)
-            source = "signed"
-        self.app.log_access(request.host, method,
-                            response.status_code, len(response.body),
-                            source)
-        return response
-
-    async def _sign(self, pending: PendingSign) -> HTTPResponse:
-        """Park on the signing queue; one drain per event-loop tick."""
-        job = self.app.queue.submit(pending.queue_key(), pending.signer())
-        if job.done:
-            assert job.artifact is not None
-            return job.artifact.to_http()
-        loop = asyncio.get_event_loop()
-        future = loop.create_future()
-        job.callbacks.append(
-            lambda finished: future.done() or future.set_result(None))
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            loop.call_soon(self._drain)
-        await future
-        assert job.artifact is not None
-        return job.artifact.to_http()
-
-    def _drain(self) -> None:
-        self._drain_scheduled = False
-        self.app.queue.drain()
+        return self.app.exchange(HTTPRequest(
+            method=method, url=f"http://{host}{path}", body=body))
 
     def _control(self, method: str, path: str) -> HTTPResponse:
         """The daemon's own endpoints: /-/healthz and /-/stats."""

@@ -52,8 +52,7 @@ def serve_identity_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     world, traffic = _world_and_traffic(payload)
     now = world.config.start + HOUR
     window = traffic[payload["lo"]:payload["hi"]]
-    app = ServeApp.for_world(world, now=now,
-                             max_batch=payload["max_batch"])
+    app = ServeApp.for_world(world, now=now)
     served = [app.exchange(request).body for request in window]
     direct = direct_responses(world, window, now)
     mismatches = sum(1 for s, d in zip(served, direct) if s != d)
@@ -67,8 +66,7 @@ def serve_identity_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
         "direct_digest": expected_digest(direct),
         "cache_hits": stats["cache"]["hits"],
         "cache_misses": stats["cache"]["misses"],
-        "signed": stats["batcher"]["signed"],
-        "coalesced": stats["batcher"]["coalesced"],
+        "signed": stats["signed"],
     }]
 
 
@@ -84,12 +82,10 @@ def serve_throughput_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     from .loadgen import replay_inprocess
     world, traffic = _world_and_traffic(payload)
     now = world.config.start + HOUR
-    app = ServeApp.for_world(world, now=now,
-                             max_batch=payload["max_batch"])
+    app = ServeApp.for_world(world, now=now)
     replay_inprocess(app, traffic, record_latency=False)  # warm
     report = replay_inprocess(app, traffic)
-    stats = app.stats()
-    cache = stats["cache"]
+    cache = app.stats()["cache"]
     lookups = cache["hits"] + cache["misses"]
     histogram = [0] * (len(LATENCY_BUCKETS_MS) + 1)
     for latency in report.latencies_ms:
@@ -112,7 +108,6 @@ def serve_throughput_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
         "body_digest": report.body_digest,
         "cache_hit_rate": (round(cache["hits"] / lookups, 6)
                            if lookups else 0.0),
-        "largest_batch": stats["batcher"]["largest_batch"],
     }]
 
 
@@ -126,8 +121,7 @@ def serve_loadtest_shards(config) -> List:
     base = {"world": config.world.to_dict(), "seed": config.seed,
             "requests": config.requests,
             "get_fraction": config.get_fraction,
-            "nonce_fraction": config.nonce_fraction,
-            "max_batch": config.max_batch}
+            "nonce_fraction": config.nonce_fraction}
     shards = [
         ShardSpec(worker=f"{_WORKERS}:serve_identity_shard",
                   payload={**base, "lo": lo, "hi": hi},
@@ -177,7 +171,6 @@ def run_serve_loadtest(ctx, config) -> Dict[str, Any]:
             "p50_ms": throughput["p50_ms"],
             "p99_ms": throughput["p99_ms"],
             "cache_hit_rate": throughput["cache_hit_rate"],
-            "largest_batch": throughput["largest_batch"],
             "status_counts": throughput["status_counts"],
         },
         "artifacts": {},

@@ -619,24 +619,6 @@ class TestServeAccessEvents:
         assert final["sources"] == {"cache": 4, "signed": 1}
         assert final["total_bytes"] == sum(e.data["size"] for e in sink)
 
-    def test_batch_size_histogram(self, app, cert_id):
-        from repro.ocsp import OCSPRequest
-        from repro.simnet import ocsp_request
-        for nonce in range(7):
-            der = OCSPRequest.for_single(
-                cert_id, nonce=bytes([nonce]) * 8).encode()
-            outcome = app.dispatch(
-                ocsp_request("http://ocsp.fixture.test", der))
-            app.queue.submit(outcome.queue_key(), outcome.signer())
-        app.queue.drain()
-        stats = app.queue.stats()
-        assert stats["batch_sizes"] == {"7": 1}
-        histogram = {int(size): count
-                     for size, count in stats["batch_sizes"].items()}
-        assert sum(histogram.values()) == stats["batches"]
-        assert sum(size * count for size, count in histogram.items()) \
-            == stats["signed"]
-
     def test_stats_expose_cache_by_host(self, app, cert_id):
         self._exchange(app, cert_id)
         self._exchange(app, cert_id)
@@ -687,7 +669,7 @@ class TestDaemonAccessLog:
         stats = json.loads(stats_raw.partition(b"\r\n\r\n")[2])
         # The stats body is rendered before its own access event logs.
         assert stats["access"] == {"events": 2, "enabled": True}
-        assert "batch_sizes" in stats["batcher"]
+        assert stats["signed"] == 1
         assert "cache_by_host" in stats
         assert stats["cache_by_host"]["ocsp.fixture.test"]["hits"] == 1
 

@@ -1,4 +1,4 @@
-"""The serve stack: transport-neutral core, cache, batcher, daemon.
+"""The serve stack: transport-neutral core, cache, daemon.
 
 The load-bearing property throughout: every transport — the in-process
 simnet exchange, the ServeApp fast path, and the asyncio daemon over
@@ -18,7 +18,6 @@ from repro.serve import (
     PresignedCache,
     ServeApp,
     ServeDaemon,
-    SignQueue,
     expected_digest,
     replay_inprocess,
     replay_tcp,
@@ -209,45 +208,6 @@ class TestPresignedCache:
 
 
 # ---------------------------------------------------------------------------
-# the signing queue
-# ---------------------------------------------------------------------------
-
-class TestSignQueue:
-
-    def test_single_flight_coalescing(self):
-        queue = SignQueue()
-        calls = []
-        job_a = queue.submit(("k",), lambda: calls.append("a") or
-                             ResponseArtifact(body=b"a"))
-        job_b = queue.submit(("k",), lambda: calls.append("b") or
-                             ResponseArtifact(body=b"b"))
-        assert job_a is job_b
-        assert queue.coalesced == 1
-        assert queue.drain() == 1
-        assert calls == ["a"]  # the second thunk never runs
-        assert job_a.artifact.body == b"a"
-
-    def test_drain_batches_bounded_by_max_batch(self):
-        queue = SignQueue(max_batch=2)
-        for index in range(5):
-            queue.submit((index,),
-                         (lambda i=index: ResponseArtifact(body=b"%d" % i)))
-        assert queue.pending == 5
-        assert queue.drain() == 5
-        assert queue.pending == 0
-        assert queue.batches == 3  # 2 + 2 + 1
-        assert queue.largest_batch == 2
-
-    def test_callbacks_fire_on_resolve(self):
-        queue = SignQueue()
-        seen = []
-        job = queue.submit(("k",), lambda: ResponseArtifact(body=b"x"))
-        job.callbacks.append(lambda done: seen.append(done.artifact.body))
-        queue.drain()
-        assert seen == [b"x"]
-
-
-# ---------------------------------------------------------------------------
 # the DER core refuses HTTP-shaped arguments
 # ---------------------------------------------------------------------------
 
@@ -309,6 +269,17 @@ async def _rpc(port, raw):
     data = await reader.read(1 << 20)
     writer.close()
     return data
+
+
+async def _until_closed(port, raw):
+    """Send *raw* without half-closing; read until the daemon closes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(raw)
+    await writer.drain()
+    try:
+        return await asyncio.wait_for(reader.read(), timeout=2.0)
+    finally:
+        writer.close()
 
 
 def _status(raw):
@@ -444,6 +415,35 @@ class TestDaemonTCP:
                 responder, HTTPRequest("GET", URL + path), app.now)
             assert _status(raw) == direct.status_code, path
             assert _body(raw) == direct.body, path
+
+    @pytest.mark.parametrize("head", [
+        b"GET /-/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        b"GET /-/healthz HTTP/1.0\r\n\r\n",
+    ], ids=["http11-close", "http10"])
+    def test_closing_request_closes_the_connection(self, run_daemon, head):
+        """RFC 9112 §9.6: the daemon closes after answering, so a
+        client reading to EOF is not left waiting."""
+        async def probes(port, daemon):
+            return await _until_closed(port, head)
+
+        raw = run_daemon(probes)
+        assert _status(raw) == 200 and _body(raw) == b"ok"
+        assert b"\r\nConnection: close\r\n" in raw
+
+    def test_keep_alive_persists_until_close(self, run_daemon):
+        """An HTTP/1.0 keep-alive request leaves the connection open for
+        the pipelined request behind it, whose ``close`` ends it."""
+        async def probes(port, daemon):
+            return await _until_closed(
+                port, b"GET /-/healthz HTTP/1.0\r\n"
+                      b"Connection: Keep-Alive\r\n\r\n"
+                      b"GET /-/healthz HTTP/1.1\r\nHost: x\r\n"
+                      b"Connection: close\r\n\r\n")
+
+        first, _, second = run_daemon(probes).partition(b"ok")
+        assert b"\r\nConnection: keep-alive\r\n" in first
+        assert b"\r\nConnection: close\r\n" in second
+        assert second.endswith(b"ok")
 
     def test_unknown_host_404_and_control_endpoints(self, run_daemon):
         async def probes(port, daemon):

@@ -787,6 +787,32 @@ class TestCoordinatorProtocol:
         assert stop == {"job": "*", "stop": True}
         peer.close()
 
+    def test_closed_transport_fails_fast(self, tmp_path):
+        """A closed transport refuses work: a supervisor handed one
+        raises at once instead of spinning on a dead selector."""
+        transport = make_transport()
+        transport.close()
+        executor = SupervisedExecutor(
+            cache=ArtifactCache(root=str(tmp_path / "cache")),
+            transport=transport)
+        raised = []
+
+        def run():
+            try:
+                executor.run_shards(plain_specs())
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=3.0)
+        assert not thread.is_alive()
+        assert raised == ["transport closed"]
+        for call in (lambda: transport.poll(0.2),
+                     lambda: transport.dispatch(0, "m:f", {"x": 1})):
+            with pytest.raises(RuntimeError, match="transport closed"):
+                call()
+
 
 # ---------------------------------------------------------------------------
 # supervised campaigns, in-process (optionally through a chaos proxy)
@@ -805,7 +831,7 @@ class TestSupervisedSocket:
             host, port = proxy.host, proxy.port
         cache = ArtifactCache(root=str(tmp_path / "cache"))
         workers = [SocketWorker(host, port, f"w{i}", cache=cache,
-                                reconnect_limit=30, recv_timeout_s=0.05,
+                                recv_timeout_s=0.05,
                                 backoff_base_s=0.01, backoff_cap_s=0.1)
                    for i in range(fleet)]
         threads = [threading.Thread(target=worker.run, daemon=True)

@@ -22,7 +22,9 @@ Steps:
 4. throw malformed HTTP at the same port (garbage request line,
    oversized body, a connection dropped mid-request) and require the
    daemon to answer with the right status codes and stay up;
-5. read ``/-/stats`` (must parse as JSON and show the burst), then
+5. send one ``Connection: close`` request without half-closing and
+   require the daemon to answer and close within 5 s (RFC 9112 §9.6);
+6. read ``/-/stats`` (must parse as JSON and show the burst), then
    SIGINT the daemon and require exit code 0.
 
 Usage: ``python tools/serve_smoke.py [requests]`` (default 2000).
@@ -47,6 +49,7 @@ RESPONDERS = 16
 CERTS = 2
 READY_WAIT_S = 120.0
 SHUTDOWN_WAIT_S = 15.0
+CLOSE_WAIT_S = 5.0
 
 
 def _env() -> dict:
@@ -82,6 +85,27 @@ def _raw_exchange(port: int, payload: bytes, recv: bool = True) -> bytes:
             if not chunk:
                 return b"".join(chunks)
             chunks.append(chunk)
+
+
+def _closes_after_reply(port: int) -> bool:
+    """Whether a ``Connection: close`` request is answered and then the
+    connection closed by the daemon within :data:`CLOSE_WAIT_S`."""
+    from repro.runtime.sock import dial
+
+    deadline = time.monotonic() + CLOSE_WAIT_S
+    with dial("127.0.0.1", port, timeout_s=10.0) as conn:
+        conn.sendall(b"GET /-/healthz HTTP/1.1\r\nHost: control\r\n"
+                     b"Connection: close\r\n\r\n")
+        reply = b""
+        while True:
+            conn.settimeout(max(0.01, deadline - time.monotonic()))
+            try:
+                chunk = conn.recv(65536)
+            except socket.timeout:
+                return False
+            if not chunk:
+                return reply.endswith(b"ok")
+            reply += chunk
 
 
 def _status_line(reply: bytes) -> str:
@@ -157,7 +181,14 @@ def main() -> int:
         print(f"{len(probes)} malformed probes + 1 dropped connection "
               f"survived")
 
-        # 5. Stats must parse and reflect the burst.
+        # 5. Connection: close is honoured without the client's EOF.
+        if not _closes_after_reply(port):
+            print(f"daemon did not close a 'Connection: close' "
+                  f"connection within {CLOSE_WAIT_S:.0f} s")
+            return 1
+        print("Connection: close answered and closed")
+
+        # 6. Stats must parse and reflect the burst.
         reply = _raw_exchange(
             port, b"GET /-/stats HTTP/1.1\r\nHost: control\r\n\r\n")
         stats = json.loads(reply.split(b"\r\n\r\n", 1)[1])
