@@ -2,7 +2,7 @@
 
 The ``serve-loadtest`` experiment replays a seeded corpus-derived
 request stream two ways: through the daemon's serving application
-(pre-signed cache, misses signed inline) and through the in-process
+(Host routing over the responder core) and through the in-process
 transport-neutral responder core.  The two must be byte-identical for
 every request — the whole point of the transport-neutral API — and the
 warm-cache path must sustain daemon-grade throughput.
@@ -36,7 +36,7 @@ def test_serve_loadtest(benchmark):
     # Every request got an HTTP answer (OCSP errors are 200s with an
     # error envelope; nothing 4xx/5xx in clean traffic).
     assert set(summary["status_counts"]) == {"200"}
-    # The pre-signed cache actually carries the warm replay, and the
+    # The core's response cache actually carries the warm replay, and the
     # headline throughput target holds with a cold-start safety margin.
     assert summary["cache_hit_rate"] > 0.9
     assert summary["req_per_s"] >= 10_000

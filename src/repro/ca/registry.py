@@ -102,6 +102,10 @@ class RevocationRegistry:
         self.ocsp_db = RevocationDatabase()
         # Deliveries pending the ocsp_delay, as (visible_at, record).
         self._pending: List[tuple] = []
+        #: Bumped on every change to what the OCSP side will answer (a
+        #: record added, queued, or delivered), so a responder may
+        #: memoize its view of the database per (now, revision).
+        self.revision = 0
 
     def revoke(self, serial_number: int, revoked_at: int,
                reason: Optional[int] = None, *,
@@ -134,6 +138,7 @@ class RevocationRegistry:
             self._pending.append((revoked_at + self.policy.ocsp_delay, ocsp_record))
         else:
             self.ocsp_db.add(ocsp_record)
+        self.revision += 1
         return record
 
     def settle(self, now: int) -> None:
@@ -142,6 +147,7 @@ class RevocationRegistry:
         for visible_at, record in self._pending:
             if visible_at <= now:
                 self.ocsp_db.add(record)
+                self.revision += 1
             else:
                 still_pending.append((visible_at, record))
         self._pending = still_pending

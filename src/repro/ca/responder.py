@@ -3,9 +3,14 @@
 One :class:`OCSPResponder` serves one responder URL for one CA, with
 its behaviour fully described by a
 :class:`~repro.ca.profiles.ResponderProfile`.  Responses are generated
-deterministically from the simulated time, so pre-generated responses
-are modelled statelessly: two requests in the same update epoch see
-byte-identical responses, exactly like a caching responder.
+deterministically from the simulated time, so two requests in the
+same update epoch see byte-identical responses, exactly like a caching
+responder.  Each responder keeps one response cache keyed by the
+request DER: a repeat of the same bytes within the same signing epoch
+(generation time plus visible-revocation count) is answered with the
+stored artifact, anything else is signed afresh.  The cache is what
+the ``repro.serve`` daemon's warm path and four months of replayed
+scans both hit.
 
 The core speaks DER, not HTTP: :meth:`OCSPResponder.handle` takes the
 raw request bytes plus the simulated clock and returns a
@@ -20,7 +25,7 @@ signing/caching path and answer byte-identically for the same
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..asn1.errors import ASN1Error
 from ..canon import stable_seed
@@ -46,8 +51,8 @@ _JAVASCRIPT_BODY = (
     b"</script></head><body>Please enable JavaScript.</body></html>"
 )
 
-#: Distinct request DERs one responder keeps parsed.
-_REQUEST_CACHE_CAP = 64
+#: Distinct request DERs one responder keeps answered.
+_RESPONSE_CACHE_CAP = 256
 
 
 class OCSPResponder:
@@ -61,16 +66,16 @@ class OCSPResponder:
         self.url = url
         self.profile = profile or ResponderProfile()
         self.epoch_start = epoch_start
-        self.request_count = 0
         self._chain_to_root = list(chain_to_root or [])
-        # Generated responses are cached per (generation epoch, serials,
-        # nonce, revocation generation) — both a fidelity point (a
-        # pre-generating responder *serves the same bytes* all epoch)
-        # and what makes replaying four months of scans fast.
-        self._response_cache: dict = {}
-        # Parsed requests by their DER: scanners re-send identical
-        # request bytes every probe, so each distinct one parses once.
-        self._request_cache: dict = {}
+        # Request DER -> [parsed OCSPRequest, epoch, ResponseArtifact]:
+        # a pre-generating responder *serves the same bytes* all epoch,
+        # and scanners re-send identical request bytes every probe, so
+        # each distinct request parses once and signs once per epoch.
+        self._responses: Dict[bytes, list] = {}
+        self.cache_hits = 0
+        self.cache_misses = 0
+        # (now, registry revision, epoch) of the last epoch computed.
+        self._epoch_memo: Tuple[int, int, Tuple[int, int]] = (-1, -1, (0, 0))
 
         self._signer_key: RSAPrivateKey = authority.key
         self._signer_cert: Optional[Certificate] = None
@@ -96,10 +101,10 @@ class OCSPResponder:
         malformed-request error envelope, exactly like undecodable DER.
         Misbehaving profiles (``malformed_mode`` / windows) win over
         everything, matching real broken responders that emit the same
-        junk regardless of input.
+        junk regardless of input.  A repeat of the same request bytes
+        in the same :meth:`signing_epoch` returns the stored artifact
+        (counted in ``cache_hits``); malformed DER is never stored.
         """
-        self.request_count += 1
-
         malformed = self._malformed_body(now)
         if malformed is not None:
             return ResponseArtifact(body=malformed, source="malformed")
@@ -111,34 +116,50 @@ class OCSPResponder:
                 "OCSPResponder.handle(request_der, now) takes DER request "
                 "bytes; wrap HTTP traffic with "
                 "repro.simnet.ocsp_service(responder)")
-        ocsp_request = self._parse_request(bytes(request_der))
-        if ocsp_request is None:
-            return self._error_artifact(ResponseStatus.MALFORMED_REQUEST)
+        request_der = bytes(request_der)
+        entry = self._responses.get(request_der)
+        if entry is None:
+            try:
+                ocsp_request = OCSPRequest.from_der(request_der)
+            except (ASN1Error, ValueError):
+                return self._error_artifact(ResponseStatus.MALFORMED_REQUEST)
+            if len(self._responses) >= _RESPONSE_CACHE_CAP:
+                self._responses.pop(next(iter(self._responses)))
+            entry = self._responses[request_der] = [ocsp_request, None, None]
 
         if self.profile.always_try_later:
             return self._error_artifact(ResponseStatus.TRY_LATER)
 
-        return self._build_response(ocsp_request, now)
+        epoch = self.signing_epoch(now)
+        if entry[1] == epoch:
+            self.cache_hits += 1
+            return entry[2]
+        self.cache_misses += 1
+        entry[1] = epoch
+        entry[2] = self._build_response(entry[0], now, epoch[0])
+        return entry[2]
 
-    def _parse_request(self, request_der: bytes) -> Optional[OCSPRequest]:
-        """The parsed request, or None when the DER is malformed.
+    def signing_epoch(self, now: int) -> Tuple[int, int]:
+        """What a response signed at *now* depends on beyond its
+        request: ``(generation_time(now), visible revocation count)``.
 
-        Malformed requests and requests carrying a nonce (single-use,
-        so their bytes never repeat) are not cached; the oldest of at
-        most 64 cached parses is dropped first.
+        Memoized per (now, registry revision), so a revocation recorded
+        at the same simulated instant still moves the epoch.
         """
-        cached = self._request_cache.get(request_der)
-        if cached is not None:
-            return cached
-        try:
-            ocsp_request = OCSPRequest.from_der(request_der)
-        except (ASN1Error, ValueError):
-            return None
-        if ocsp_request.nonce is None:
-            if len(self._request_cache) >= _REQUEST_CACHE_CAP:
-                self._request_cache.pop(next(iter(self._request_cache)))
-            self._request_cache[request_der] = ocsp_request
-        return ocsp_request
+        registry = self.authority.registry
+        memo_now, memo_revision, epoch = self._epoch_memo
+        if memo_now != now or memo_revision != registry.revision:
+            epoch = (self.generation_time(now),
+                     registry.visible_ocsp_count(now))
+            # visible_ocsp_count settles due deliveries, which bumps
+            # the revision: memoize the one it left behind.
+            self._epoch_memo = (now, registry.revision, epoch)
+        return epoch
+
+    def cache_stats(self) -> Dict[str, int]:
+        """JSON-ready counters of the response cache."""
+        return {"entries": len(self._responses), "hits": self.cache_hits,
+                "misses": self.cache_misses}
 
     @staticmethod
     def _error_artifact(status: ResponseStatus) -> ResponseArtifact:
@@ -178,18 +199,8 @@ class OCSPResponder:
         elapsed = max(0, now - start)
         return start + (elapsed // interval) * interval
 
-    def _build_response(self, ocsp_request: OCSPRequest,
-                        now: int) -> ResponseArtifact:
-        generated_at = self.generation_time(now)
-        cache_key = (
-            generated_at,
-            tuple(ocsp_request.serial_numbers),
-            ocsp_request.nonce,
-            self.authority.registry.visible_ocsp_count(now),
-        )
-        cached = self._response_cache.get(cache_key)
-        if cached is not None:
-            return cached
+    def _build_response(self, ocsp_request: OCSPRequest, now: int,
+                        generated_at: int) -> ResponseArtifact:
         this_update = generated_at - self.profile.this_update_margin
         next_update = None
         if not self.profile.blank_next_update:
@@ -229,16 +240,12 @@ class OCSPResponder:
             certificates=certificates,
             nonce=ocsp_request.nonce,
         )
-        artifact = ResponseArtifact(
+        return ResponseArtifact(
             body=body,
             produced_at=generated_at,
             next_update=next_update,
             source="signed",
         )
-        if len(self._response_cache) > 4096:
-            self._response_cache.clear()
-        self._response_cache[cache_key] = artifact
-        return artifact
 
     def _single_for(self, cert_id: CertID, this_update: int,
                     next_update: Optional[int], now: int) -> SingleResponse:

@@ -640,8 +640,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeApp, ServeDaemon
 
     world, now = _serve_world(args)
-    app = ServeApp.for_world(world, now=now,
-                             cache_capacity=args.cache_capacity)
+    app = ServeApp.for_world(world, now=now)
     access_log = None
     if args.access_log:
         from .monitor import EventLogWriter
@@ -654,7 +653,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def serve() -> None:
         host, port = await daemon.start()
-        print(f"serving {len(app.runtimes)} responders on "
+        print(f"serving {len(app.responders)} responders on "
               f"http://{host}:{port} (simulated now={now}, seed="
               f"{_seed(args)}); control: /-/healthz /-/stats",
               file=sys.stderr)
@@ -1084,8 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--now", type=int, default=None,
                        help="fixed simulated POSIX clock "
                             "(default: world start + 1h)")
-    serve.add_argument("--cache-capacity", type=int, default=65536,
-                       help="pre-signed cache entries per responder")
     serve.add_argument("--access-log", default=None, metavar="PATH",
                        help="write one MonitorEvent JSONL line per served "
                             "request ('repro monitor' reads this)")

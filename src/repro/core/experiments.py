@@ -259,8 +259,7 @@ _EXPERIMENTS: List[Experiment] = [
     Experiment(
         "serve-loadtest", "Responder daemon byte-identity and throughput",
         "Section 6 responder-side serving (daemon extension)",
-        ("repro.serve.app", "repro.serve.cache", "repro.serve.loadgen",
-         "repro.ca.responder"),
+        ("repro.serve.app", "repro.serve.loadgen", "repro.ca.responder"),
         "benchmarks/test_serve_loadtest.py",
         "seeded traffic x {daemon path, in-process core} identity + warm-cache load",
         runner="repro.serve.experiments:run_serve_loadtest",

@@ -7,7 +7,6 @@ is supported because responder freshness testing uses it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -89,20 +88,3 @@ class OCSPRequest:
     def serial_numbers(self) -> List[int]:
         """The serial numbers being queried."""
         return [cert_id.serial_number for cert_id in self.cert_ids]
-
-    def cache_key(self) -> bytes:
-        """Stable digest identifying what this request *asks* (CertID hash).
-
-        Two requests with the same CertIDs (in order) and the same
-        nonce get the same key, however their DER was framed — the
-        pre-signed cache in ``repro.serve`` keys entries on this, so a
-        re-encoded request still hits the entry signed for the
-        canonical encoding.  The nonce participates because a nonced
-        response echoes it and is only reusable for the same nonce.
-        """
-        digest = hashlib.sha256()
-        for cert_id in self.cert_ids:
-            digest.update(cert_id.encode())
-        digest.update(b"|nonce|")
-        digest.update(self.nonce or b"")
-        return digest.digest()

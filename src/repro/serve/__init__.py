@@ -4,15 +4,14 @@ The transport-neutral responder core
 (:meth:`repro.ca.responder.OCSPResponder.handle`) answers every
 transport the repo has: the simulated network
 (:func:`repro.simnet.ocsp_service`), this package's asyncio daemon,
-and the in-process load generator.  :class:`ServeApp` adds what a real
-responder deployment adds — Host routing and a pre-signed response
-cache with nextUpdate-aware refresh, signing each miss inline — without
-touching response bytes, so a daemon answer is byte-identical to the
-simulated responder's answer for the same (request, clock).
+and the in-process load generator.  :class:`ServeApp` adds only Host
+routing: framing and the response cache are the core's, so a daemon
+answer is byte-identical to the simulated responder's answer for the
+same (request, clock), and a repeat of the same request bytes in one
+signing epoch is answered from the core's cache.
 """
 
-from .app import ResponderRuntime, ServeApp
-from .cache import CacheEntry, PresignedCache
+from .app import ServeApp
 from .daemon import MAX_BODY_BYTES, MAX_HEADER_BYTES, ServeDaemon
 from .loadgen import (
     LoadReport,
@@ -25,12 +24,9 @@ from .loadgen import (
 )
 
 __all__ = [
-    "CacheEntry",
     "LoadReport",
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
-    "PresignedCache",
-    "ResponderRuntime",
     "ServeApp",
     "ServeDaemon",
     "direct_responses",

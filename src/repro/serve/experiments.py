@@ -10,8 +10,9 @@ Two shard kinds over the same seeded traffic stream:
   byte-identical to the simulated responder" merges byte-identically
   at any worker count;
 * **one throughput shard** (WALL_CLOCK-pragma'd, like the keysize
-  ablation) — warms the pre-signed cache with one replay, then times a
-  second, emitting req/s, p50/p99 latency, and the cache hit rate.
+  ablation) — warms the responders' response caches with one replay,
+  then times a second, emitting req/s, p50/p99 latency, and the cache
+  hit rate.
   Timing columns are measurements: cached rows keep the numbers of the
   run that produced them.
 """
@@ -54,9 +55,11 @@ def serve_identity_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     window = traffic[payload["lo"]:payload["hi"]]
     app = ServeApp.for_world(world, now=now)
     served = [app.exchange(request).body for request in window]
+    # The app and direct_responses share the world's responders and
+    # so their cache counters: read the app's share first.
+    stats = app.stats()
     direct = direct_responses(world, window, now)
     mismatches = sum(1 for s, d in zip(served, direct) if s != d)
-    stats = app.stats()
     return [{
         "kind": "identity",
         "lo": payload["lo"], "hi": payload["hi"],

@@ -37,8 +37,8 @@ def synthesize_traffic(world, count: int, seed: int = 0,
     ``get_fraction`` of requests prefer the GET transport (falling
     back to POST when the encoded request exceeds the 255-byte URL
     limit, exactly as clients do); ``nonce_fraction`` get a fresh
-    random-but-seeded nonce, which defeats the pre-signed cache and so
-    controls the miss rate of a load test.
+    random-but-seeded nonce, so its first answer is always signed; the
+    fraction controls the miss rate of a load test's first replay.
     """
     from ..ocsp import OCSPRequest
     targets = world.scan_targets()

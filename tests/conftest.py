@@ -72,14 +72,25 @@ def cert_id(leaf, ca):
     return CertID.for_certificate(leaf, ca.certificate)
 
 
-@pytest.fixture(scope="session")
-def responder(ca, now):
-    """A well-behaved on-demand responder for the fixture CA."""
+def _fixture_responder(ca, now):
     return OCSPResponder(
         ca, "http://ocsp.fixture.test",
         ResponderProfile(update_interval=None, this_update_margin=HOUR),
         epoch_start=now - 7 * DAY,
     )
+
+
+@pytest.fixture(scope="session")
+def responder(ca, now):
+    """A well-behaved on-demand responder for the fixture CA."""
+    return _fixture_responder(ca, now)
+
+
+@pytest.fixture()
+def fresh_responder(ca, now):
+    """The same responder with an empty response cache and zeroed
+    counters, for tests that count hits and misses."""
+    return _fixture_responder(ca, now)
 
 
 @pytest.fixture(scope="session")

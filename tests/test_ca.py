@@ -418,7 +418,8 @@ class TestPregeneration:
 
 
 class TestRequestMemo:
-    """``handle`` parses each distinct request DER once per responder."""
+    """``handle`` keeps one response cache keyed by request DER: each
+    distinct request parses once and signs once per signing epoch."""
 
     def test_repeated_handle_matches_fresh_responder(self, authority, leaf):
         responder = make_responder(authority,
@@ -432,8 +433,9 @@ class TestRequestMemo:
                                        ResponderProfile(update_interval=HOUR))
                 assert responder.handle(request, now).body == \
                     fresh.handle(request, now).body
-        # Only the nonce-free request is kept: nonces are single-use.
-        assert list(responder._request_cache) == requests[:1]
+        # Two epochs sign each request once; every other call is a hit.
+        assert responder.cache_stats() == {"entries": 2, "hits": 8,
+                                           "misses": 4}
 
     def test_malformed_request_never_cached(self, authority):
         responder = make_responder(authority)
@@ -441,9 +443,12 @@ class TestRequestMemo:
             body = responder.handle(b"garbage", NOW).body
             assert OCSPResponse.from_der(body).response_status is \
                 ResponseStatus.MALFORMED_REQUEST
-        assert responder._request_cache == {}
+        assert responder.cache_stats() == {"entries": 0, "hits": 0,
+                                           "misses": 0}
 
-    def test_bounded(self, authority, leaf):
+    def test_bounded(self, authority, leaf, monkeypatch):
+        from repro.ca import responder as responder_module
+        monkeypatch.setattr(responder_module, "_RESPONSE_CACHE_CAP", 64)
         responder = make_responder(authority)
         cert_id = CertID.for_certificate(leaf, authority.certificate)
         for serial in range(70):
@@ -452,8 +457,46 @@ class TestRequestMemo:
             request = OCSPRequest.for_single(other).encode()
             assert verify_response(responder.handle(request, NOW).body,
                                    other, authority.certificate, NOW).ok
-            assert len(responder._request_cache) <= 64
-        assert len(responder._request_cache) == 64
+            assert responder.cache_stats()["entries"] <= 64
+        assert responder.cache_stats()["entries"] == 64
+
+    def test_same_serial_other_issuer_answers_like_fresh(self, authority,
+                                                         leaf):
+        """Regression: the cache keys on the whole request, not on its
+        serials, so a CertID naming another issuer is answered UNKNOWN
+        even after the same serial was answered for this issuer."""
+        responder = make_responder(authority,
+                                   ResponderProfile(update_interval=HOUR))
+        cert_id = CertID.for_certificate(leaf, authority.certificate)
+        foreign = CertID(cert_id.hash_name, b"\x00" * 20,
+                         cert_id.issuer_key_hash, cert_id.serial_number)
+        responder.handle(OCSPRequest.for_single(cert_id).encode(), NOW)
+        request = OCSPRequest.for_single(foreign).encode()
+        answer = responder.handle(request, NOW).body
+        fresh = make_responder(authority,
+                               ResponderProfile(update_interval=HOUR))
+        assert answer == fresh.handle(request, NOW).body
+        single = OCSPResponse.from_der(answer).basic.single_responses[0]
+        assert single.cert_status is CertStatus.UNKNOWN
+        assert single.cert_id == foreign
+
+    def test_due_delayed_delivery_moves_the_epoch(self, authority, leaf):
+        """A revocation queued behind ``ocsp_delay`` but already due at
+        the instant just served is applied on the next request at that
+        same instant."""
+        authority.registry.policy.ocsp_delay = 60
+        responder = make_responder(authority,
+                                   ResponderProfile(update_interval=HOUR))
+        cert_id = CertID.for_certificate(leaf, authority.certificate)
+        request = OCSPRequest.for_single(cert_id).encode()
+        good = responder.handle(request, NOW).body
+        authority.revoke(leaf, NOW - HOUR)
+        revoked = responder.handle(request, NOW).body
+        fresh = make_responder(authority,
+                               ResponderProfile(update_interval=HOUR))
+        assert revoked == fresh.handle(request, NOW).body != good
+        single = OCSPResponse.from_der(revoked).basic.single_responses[0]
+        assert single.cert_status is CertStatus.REVOKED
 
 
 class TestCRLService:

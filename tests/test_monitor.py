@@ -573,10 +573,10 @@ class TestWindows:
 
 class TestServeAccessEvents:
     @pytest.fixture()
-    def app(self, responder):
+    def app(self, fresh_responder):
         from repro.serve import ServeApp
         built = ServeApp(now=1_525_000_000)
-        built.add_responder("ocsp.fixture.test", responder)
+        built.add_responder("ocsp.fixture.test", fresh_responder)
         return built
 
     def _exchange(self, app, cert_id, prefer_get=False):
@@ -630,12 +630,12 @@ class TestServeAccessEvents:
 
 
 class TestDaemonAccessLog:
-    def test_daemon_writes_monitor_events(self, responder, cert_id):
+    def test_daemon_writes_monitor_events(self, fresh_responder, cert_id):
         from repro.ocsp import OCSPRequest
         from repro.serve import ServeApp, ServeDaemon
 
         app = ServeApp(now=1_525_000_000)
-        app.add_responder("ocsp.fixture.test", responder)
+        app.add_responder("ocsp.fixture.test", fresh_responder)
         buffer = io.StringIO()
         app.access_sink = EventLogWriter(buffer, meta={"source": "t"}).emit
         der = OCSPRequest.for_single(cert_id).encode()

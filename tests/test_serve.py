@@ -1,7 +1,7 @@
-"""The serve stack: transport-neutral core, cache, daemon.
+"""The serve stack: transport-neutral core, Host routing, daemon.
 
 The load-bearing property throughout: every transport — the in-process
-simnet exchange, the ServeApp fast path, and the asyncio daemon over
+simnet exchange, the ServeApp routing step, and the asyncio daemon over
 real TCP — answers byte-identically for the same (request bytes,
 simulated clock), because they all drive the same responder core.
 """
@@ -15,7 +15,6 @@ import pytest
 from repro.ca import OCSPResponder, ResponderProfile
 from repro.ocsp import OCSPRequest, ResponseArtifact
 from repro.serve import (
-    PresignedCache,
     ServeApp,
     ServeDaemon,
     expected_digest,
@@ -29,10 +28,14 @@ URL = "http://ocsp.fixture.test"
 
 
 @pytest.fixture()
-def app(responder):
+def app(fresh_responder):
     built = ServeApp(now=1_525_000_000)
-    built.add_responder("ocsp.fixture.test", responder)
+    built.add_responder("ocsp.fixture.test", fresh_responder)
     return built
+
+
+def _cache(app):
+    return app.stats()["cache_by_host"]["ocsp.fixture.test"]
 
 
 def _request(cert_id, nonce=None, prefer_get=False):
@@ -58,10 +61,9 @@ class TestByteIdentity:
         request = _request(cert_id)
         direct = ocsp_http_exchange(responder, request, app.now)
         app.exchange(request)
-        runtime = app.runtimes["ocsp.fixture.test"]
-        assert runtime.cache.hits == 0
+        assert _cache(app)["hits"] == 0
         again = app.exchange(request)
-        assert runtime.cache.hits == 1
+        assert _cache(app)["hits"] == 1
         assert again.body == direct.body
 
     def test_get_transport_identical(self, app, responder, cert_id):
@@ -107,82 +109,63 @@ class TestByteIdentity:
         assert app.exchange(request).status_code == 404
 
     def test_malformed_window_responder_never_cached(self, ca, now):
-        """A transiently-malformed responder's body flips mid-epoch, so
-        pre-signing it would serve stale malformed bytes — the runtime
-        must bypass the cache entirely and track the core exactly."""
+        """A transiently-malformed responder's body flips mid-epoch:
+        inside the window the core answers junk without consulting or
+        filling its cache, after it the real bytes — the app tracks
+        the core exactly."""
         from repro.ca import MalformedWindow
-        hostile = OCSPResponder(
-            ca, URL, ResponderProfile(
-                update_interval=DAY,
-                malformed_windows=(MalformedWindow(now, now + HOUR,
-                                                   "truncated"),)),
-            epoch_start=now - 7 * DAY)
+        profile = ResponderProfile(
+            update_interval=DAY,
+            malformed_windows=(MalformedWindow(now, now + HOUR,
+                                               "truncated"),))
+        hostile = OCSPResponder(ca, URL, profile, epoch_start=now - 7 * DAY)
+        core = OCSPResponder(ca, URL, profile, epoch_start=now - 7 * DAY)
         app = ServeApp(now=now)
         app.add_responder("ocsp.fixture.test", hostile)
-        runtime = app.runtimes["ocsp.fixture.test"]
-        assert not runtime.cacheable
         cert_id = _minted_cert_id(ca, now)
         request = _request(cert_id)
-        # Inside the window: the malformed body, twice (no caching).
-        inside = ocsp_http_exchange(hostile, request, now)
+        # Inside the window: the malformed body, twice, never a hit.
+        inside = ocsp_http_exchange(core, request, now)
         assert app.exchange(request, now=now).body == inside.body
         assert app.exchange(request, now=now).body == inside.body
+        assert _cache(app) == {"entries": 0, "hits": 0, "misses": 0}
         # After the window closes (same generation epoch): real bytes.
         later = now + 2 * HOUR
-        outside = ocsp_http_exchange(hostile, request, later)
+        outside = ocsp_http_exchange(core, request, later)
         assert outside.body != inside.body
         assert app.exchange(request, now=later).body == outside.body
-        assert len(runtime.cache) == 0
+        assert app.exchange(request, now=later).body == outside.body
+        assert _cache(app)["hits"] == 1
 
-
-def _minted_cert_id(ca, now):
-    from repro.crypto import generate_keypair
-    from repro.ocsp import CertID
-    leaf = ca.issue_leaf("cached.example", generate_keypair(512, rng=77),
-                         not_before=now - DAY)
-    return CertID.for_certificate(leaf, ca.certificate)
-
-
-# ---------------------------------------------------------------------------
-# the pre-signed cache (incl. the nextUpdate fencepost regression)
-# ---------------------------------------------------------------------------
-
-class TestPresignedCache:
-
-    def _artifact(self, next_update):
-        return ResponseArtifact(body=b"resp", next_update=next_update)
-
-    def test_fencepost_next_update_equal_now_is_expired(self):
-        """Regression: an entry whose nextUpdate == now must NOT be
-        served — nextUpdate is the instant newer information exists."""
-        cache = PresignedCache()
-        cache.put(b"req", b"key", self._artifact(next_update=1000),
-                  valid_until=1000)
-        assert cache.get(b"req", 999) is not None
-        assert cache.get(b"req", 1000) is None
-        assert cache.expirations == 1
-        # The expired entry is gone, not resurrectable.
-        assert cache.get(b"req", 999) is None
-
-    def test_epoch_roll_invalidates_even_when_clock_fresh(self):
-        cache = PresignedCache()
-        cache.put(b"req", b"key", self._artifact(next_update=10_000),
-                  valid_until=10_000, epoch=(1, 0))
-        assert cache.get(b"req", 5, epoch=(1, 0)) is not None
-        assert cache.get(b"req", 5, epoch=(2, 0)) is None
-        assert cache.expirations == 1
-
-    def test_capacity_eviction_clears_generation(self):
-        cache = PresignedCache(capacity=2)
-        for index in range(3):
-            cache.put(b"r%d" % index, b"k%d" % index,
-                      self._artifact(None), valid_until=None)
-        assert cache.evictions == 2
-        assert len(cache) == 1
+    def test_same_instant_revocation_answers_revoked(self, ca, now):
+        """Regression: a revocation recorded at the instant being served
+        moves the signing epoch, so the app stops serving the GOOD
+        bytes it answered a moment earlier."""
+        from repro.crypto import generate_keypair
+        from repro.ocsp import CertID, CertStatus, OCSPResponse
+        profile = ResponderProfile(update_interval=DAY)
+        leaf = ca.issue_leaf("revoked-now.example",
+                             generate_keypair(512, rng=78),
+                             not_before=now - DAY)
+        cert_id = CertID.for_certificate(leaf, ca.certificate)
+        app = ServeApp(now=now)
+        app.add_responder("ocsp.fixture.test", OCSPResponder(
+            ca, URL, profile, epoch_start=now - 7 * DAY))
+        request = _request(cert_id)
+        before = app.exchange(request)
+        ca.revoke(leaf, now - 60)
+        after = app.exchange(request)
+        fresh = OCSPResponder(ca, URL, profile, epoch_start=now - 7 * DAY)
+        assert after.body == ocsp_http_exchange(fresh, request, now).body
+        assert after.body != before.body
+        single = OCSPResponse.from_der(after.body).basic.single_responses[0]
+        assert single.cert_status is CertStatus.REVOKED
 
     def test_end_to_end_resign_at_next_update(self, ca, now):
-        """The daemon serves a pre-generated responder right up to
-        nextUpdate, then re-signs — never hands out the stale bytes."""
+        """A pre-generated responder's bytes depend only on its signing
+        epoch: up to and at nextUpdate the app serves the epoch's one
+        signed artifact, byte-identical to the core at each instant
+        (the old nextUpdate fencepost never changed a byte)."""
         responder = OCSPResponder(
             ca, URL, ResponderProfile(update_interval=DAY,
                                       validity_period=2 * HOUR,
@@ -193,18 +176,36 @@ class TestPresignedCache:
         cert_id = _minted_cert_id(ca, now)
         request = _request(cert_id)
         first = app.exchange(request)
-        runtime = app.runtimes["ocsp.fixture.test"]
-        artifact = runtime.lookup(request.body, now)
-        assert artifact is not None and artifact.next_update == now + 2 * HOUR
+        artifact = ResponseArtifact.from_body(first.body)
+        assert artifact.next_update == now + 2 * HOUR
         # Same generation epoch one second before expiry: cache hit.
         assert app.exchange(request, now=artifact.next_update - 1).body \
             == first.body
-        # At exactly nextUpdate: expired, re-signed, and byte-identical
-        # to what the core answers at that instant.
+        # At exactly nextUpdate: byte-identical to what the core
+        # answers at that instant.
         at_boundary = app.exchange(request, now=artifact.next_update)
         direct = ocsp_http_exchange(responder, request, artifact.next_update)
         assert at_boundary.body == direct.body
-        assert runtime.cache.expirations == 1
+        assert _cache(app)["misses"] == 1
+
+
+def _minted_cert_id(ca, now):
+    from repro.crypto import generate_keypair
+    from repro.ocsp import CertID
+    leaf = ca.issue_leaf("cached.example", generate_keypair(512, rng=77),
+                         not_before=now - DAY)
+    return CertID.for_certificate(leaf, ca.certificate)
+
+
+class TestServeCLI:
+
+    def test_cache_capacity_is_an_error(self):
+        """The responder core owns the one response cache; ``repro
+        serve`` has no capacity knob, and argparse rejects one."""
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--port", "0", "--cache-capacity", "1"])
+        assert exited.value.code == 2
 
 
 # ---------------------------------------------------------------------------

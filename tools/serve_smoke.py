@@ -24,8 +24,10 @@ Steps:
    daemon to answer with the right status codes and stay up;
 5. send one ``Connection: close`` request without half-closing and
    require the daemon to answer and close within 5 s (RFC 9112 §9.6);
-6. read ``/-/stats`` (must parse as JSON and show the burst), then
-   SIGINT the daemon and require exit code 0.
+6. read ``/-/stats`` (must parse as JSON, show the burst, and show
+   the responder core's cache answering repeats: ``cache.hits > 0``
+   and fewer ``signed`` than ``requests``), then SIGINT the daemon
+   and require exit code 0.
 
 Usage: ``python tools/serve_smoke.py [requests]`` (default 2000).
 Exit 0 on success.
@@ -196,8 +198,15 @@ def main() -> int:
             print(f"stats recorded {stats['requests']} requests, "
                   f"expected >= {requests}")
             return 1
+        if stats["cache"]["hits"] <= 0 \
+                or stats["signed"] >= stats["requests"]:
+            print(f"the response cache carried no repeats: "
+                  f"{stats['cache']['hits']} hits, {stats['signed']} "
+                  f"signed of {stats['requests']} requests")
+            return 1
         print(f"stats: {stats['requests']} requests, "
               f"cache hits {stats['cache']['hits']}, "
+              f"signed {stats['signed']}, "
               f"dropped connections "
               f"{stats['daemon']['dropped_connections']}")
     finally:
