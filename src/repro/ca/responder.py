@@ -24,6 +24,7 @@ signing/caching path and answer byte-identically for the same
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
@@ -155,6 +156,18 @@ class OCSPResponder:
             # the revision: memoize the one it left behind.
             self._epoch_memo = (now, registry.revision, epoch)
         return epoch
+
+    def without_cache(self) -> "OCSPResponder":
+        """This responder with a response cache of its own, empty.
+
+        It signs with the same key, profile and authority, so it answers
+        every request with the bytes this one would sign; nothing a
+        server over this responder stored can reach its answers.
+        """
+        twin = copy.copy(self)
+        twin._responses = {}
+        twin.cache_hits = twin.cache_misses = 0
+        return twin
 
     def cache_stats(self) -> Dict[str, int]:
         """JSON-ready counters of the response cache."""

@@ -4,13 +4,15 @@ The paper's scanners ingest bytes from the real web, where malformed
 DER is routine — Figure 5's first error class is literally "malformed
 response".  This package manufactures that hostility deterministically:
 
-* :mod:`repro.hostile.tlv` — a lenient TLV tree model of DER with a
+* :mod:`repro.hostile.tlv` — a lenient TLV model of DER: one bounded
+  header walk (element spans, the fixed-point check) and a tree with a
   serializer that can lie (length overrides, indefinite lengths);
 * :mod:`repro.hostile.mutate` — Frankencert-style mutation families
   (truncation at element boundaries, length inflation/deflation, tag
   flips, subtree splicing across documents, OID/time/signature
   corruption, BER-ification, depth/length bombs), each mutant a pure
-  function of ``(document, mutation_id, seed)``;
+  function of ``(document, mutation_id, seed)`` spliced from a
+  per-document element index;
 * :mod:`repro.hostile.corpus` — canonical seed documents minted from
   the simulated PKI, plus the scan→lint→verify classification of each
   mutant and the decode→re-encode→decode fixed-point harness;

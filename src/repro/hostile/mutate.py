@@ -13,6 +13,15 @@ boundaries, length octets that lie in either direction, identifier-
 octet flips, subtrees transplanted between document types, corrupted
 OIDs/times/signatures, BER indefinite lengths, and the two classic
 resource attacks — nesting bombs and announced-length bombs.
+
+The element-level families work from an index of the document, built
+once per distinct document (:class:`_ElementIndex`): its canonical
+bytes and one :func:`~repro.hostile.tlv.element_spans` record per
+element.  Each changes one element, so a mutant is that element's new
+bytes spliced into the canonical bytes with each ancestor re-headered
+for its new length (:func:`_replace`) — the bytes that parsing the
+document into a :class:`~repro.hostile.tlv.TLVNode` tree, changing one
+node and re-encoding the tree would give, from the same rng draws.
 """
 
 from __future__ import annotations
@@ -23,14 +32,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..asn1 import encoder, tags
 from ..canon import derived_rng
-from .tlv import (
-    TLVNode,
-    element_spans,
-    encode_forest,
-    flatten,
-    flatten_slots,
-    parse_forest,
-)
+from .tlv import element_spans, encode_forest, parse_forest
 
 #: Mutation family names, in round-robin order.  Appending here is
 #: cheap; reordering or removing entries changes every mutant stream.
@@ -74,6 +76,117 @@ def mutate(document: bytes, mutation_id: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
+# the element index
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _ElementIndex:
+    """What the element-level families need of one document.
+
+    Parsing the document into a :class:`~repro.hostile.tlv.TLVNode`
+    tree, changing one node and re-encoding the tree yields the
+    canonical bytes (minimal lengths) with that element's bytes changed
+    and each of its ancestors re-headered: :func:`_replace` writes
+    exactly that.  Elements are numbered in ``flatten`` pre-order, so
+    ``rng.choice`` over element numbers draws the element it would
+    draw over the tree's nodes.
+    """
+
+    #: ``encode_forest(parse_forest(document))``; the document itself
+    #: when its lengths are already minimal.
+    der: bytes
+    #: :func:`~repro.hostile.tlv.element_spans` of :attr:`der`.
+    spans: Tuple[Tuple[int, int, int, int, int], ...]
+    #: The truncation points of the document as given (not of
+    #: :attr:`der`): element boundaries other than its two ends, sorted.
+    boundaries: Tuple[int, ...]
+    #: Element numbers per corruption target, in pre-order.
+    oids: Tuple[int, ...]
+    times: Tuple[int, ...]
+    bit_strings: Tuple[int, ...]
+    constructed: Tuple[int, ...]
+
+    def content(self, number: int) -> bytes:
+        offset, header_len, content_len, _, _ = self.spans[number]
+        start = offset + header_len
+        return self.der[start:start + content_len]
+
+    def element(self, number: int) -> bytes:
+        offset, header_len, content_len, _, _ = self.spans[number]
+        return self.der[offset:offset + header_len + content_len]
+
+
+def _build_index(document: bytes) -> _ElementIndex:
+    boundaries = set()
+    for offset, header_len, content_len, _, _ in element_spans(document):
+        boundaries.update((offset, offset + header_len,
+                           offset + header_len + content_len))
+    boundaries -= {0, len(document)}
+    der = encode_forest(parse_forest(document))
+    spans = tuple(element_spans(der))
+    oids, times, bit_strings, constructed = [], [], [], []
+    for number, (_, _, size, tag, _) in enumerate(spans):
+        if tag == tags.OBJECT_IDENTIFIER and size:
+            oids.append(number)
+        elif tag in (tags.UTC_TIME, tags.GENERALIZED_TIME) and size:
+            times.append(number)
+        elif tag == tags.BIT_STRING and size > 1:
+            bit_strings.append(number)
+        elif tags.is_constructed(tag):
+            constructed.append(number)
+    return _ElementIndex(
+        der=der, spans=spans, boundaries=tuple(sorted(boundaries)),
+        oids=tuple(oids), times=tuple(times),
+        bit_strings=tuple(bit_strings), constructed=tuple(constructed))
+
+
+#: Document bytes -> its :class:`_ElementIndex`.  A corpus mutates
+#: three seed documents, which are also the splice donors, so each is
+#: indexed once per process.  Entries are evicted oldest first.
+_INDEXES: Dict[bytes, _ElementIndex] = {}
+_INDEX_CAP = 16
+
+
+def _index(document: bytes) -> _ElementIndex:
+    index = _INDEXES.get(document)
+    if index is None:
+        index = _build_index(document)
+        _remember_index(document, index)
+    return index
+
+
+def _remember_index(document: bytes, index: _ElementIndex) -> None:  # repro: allow-effect[GLOBAL_MUTATION] -- bounded memo of a pure function of its key; the index holds only bytes and tuples, shared read-only
+    if len(_INDEXES) >= _INDEX_CAP:
+        _INDEXES.pop(next(iter(_INDEXES)))
+    _INDEXES[document] = index
+
+
+def _replace(index: _ElementIndex, number: int, element: bytes) -> bytes:
+    """The canonical bytes with element *number* replaced by *element*
+    and each ancestor re-headered for its new content length,
+    innermost first."""
+    der, spans = index.der, index.spans
+    offset, header_len, content_len, _, parent = spans[number]
+    grow = len(element) - header_len - content_len
+    pieces = [der[offset + header_len + content_len:], element]
+    while parent >= 0:
+        outer, outer_header, outer_content, tag, grandparent = spans[parent]
+        pieces.append(der[outer + outer_header:offset])
+        header = bytes([tag]) + encoder.encode_length(outer_content + grow)
+        pieces.append(header)
+        grow += len(header) - outer_header
+        offset, parent = outer, grandparent
+    pieces.append(der[:offset])
+    return b"".join(reversed(pieces))
+
+
+def _with_content(index: _ElementIndex, number: int, content: bytes) -> bytes:
+    """The canonical bytes with element *number*'s content replaced."""
+    tag = index.spans[number][3]
+    return _replace(index, number, encoder.encode_tlv(tag, content))
+
+
+# ---------------------------------------------------------------------------
 # family implementations — each (document, rng, donors) -> bytes
 # ---------------------------------------------------------------------------
 
@@ -89,122 +202,117 @@ def _bitflip(document: bytes, rng: random.Random,
 def _truncate(document: bytes, rng: random.Random,
               donors: Sequence[bytes]) -> bytes:
     """Cut the document at a random element boundary."""
-    boundaries = set()
-    for offset, header_len, content_len in element_spans(document):
-        boundaries.add(offset)
-        boundaries.add(offset + header_len)
-        boundaries.add(offset + header_len + content_len)
-    boundaries -= {0, len(document)}
+    boundaries = _index(document).boundaries
     if not boundaries:
         return document[:1]
-    return document[:rng.choice(sorted(boundaries))]
+    return document[:rng.choice(boundaries)]
 
 
 def _length_inflate(document: bytes, rng: random.Random,
                     donors: Sequence[bytes]) -> bytes:
     """Announce more content than one element actually carries."""
-    tree = parse_forest(document)
-    node = rng.choice(flatten(tree))
-    node.length_override = _natural_length(node) + rng.randint(1, 255)
-    return encode_forest(tree)
+    index = _index(document)
+    number = rng.choice(range(len(index.spans)))
+    return _announce(index, number, index.spans[number][2]
+                     + rng.randint(1, 255))
 
 
 def _length_deflate(document: bytes, rng: random.Random,
                     donors: Sequence[bytes]) -> bytes:
     """Announce less content than one element actually carries."""
-    tree = parse_forest(document)
-    node = rng.choice(flatten(tree))
-    natural = _natural_length(node)
-    node.length_override = (natural - rng.randint(1, natural)) if natural else 1
-    return encode_forest(tree)
+    index = _index(document)
+    number = rng.choice(range(len(index.spans)))
+    natural = index.spans[number][2]
+    return _announce(index, number, (natural - rng.randint(1, natural))
+                     if natural else 1)
+
+
+def _announce(index: _ElementIndex, number: int, length: int) -> bytes:
+    """Element *number* with its full content under a lying length."""
+    tag = index.spans[number][3]
+    return _replace(index, number, bytes([tag]) + encoder.encode_length(length)
+                    + index.content(number))
 
 
 def _tag_flip(document: bytes, rng: random.Random,
               donors: Sequence[bytes]) -> bytes:
     """Flip the class bits or the constructed bit of one element."""
-    tree = parse_forest(document)
-    node = rng.choice(flatten(tree))
+    index = _index(document)
+    number = rng.choice(range(len(index.spans)))
     mask = rng.choice((tags.CONSTRUCTED, tags.CLASS_APPLICATION,
                        tags.CLASS_CONTEXT, tags.CLASS_PRIVATE, 0x01))
-    node.tag ^= mask
-    if node.tag & tags.TAG_NUMBER_MASK == 0x1F:
-        node.tag ^= 0x01  # keep the tag single-octet parseable
-    return encode_forest(tree)
+    offset, _, _, tag, _ = index.spans[number]
+    tag ^= mask
+    if tag & tags.TAG_NUMBER_MASK == 0x1F:
+        tag ^= 0x01  # keep the tag single-octet parseable
+    # The lengths stay, so no ancestor header changes.
+    return index.der[:offset] + bytes([tag]) + index.der[offset + 1:]
 
 
 def _splice(document: bytes, rng: random.Random,
             donors: Sequence[bytes]) -> bytes:
     """Replace a random subtree with one from a donor document."""
-    tree = parse_forest(document)
-    donor_tree = parse_forest(rng.choice(list(donors)))
-    graft = rng.choice(flatten(donor_tree))
-    container, index = rng.choice(flatten_slots(tree))
-    container[index] = graft
-    return encode_forest(tree)
+    index = _index(document)
+    donor = _index(rng.choice(donors))
+    graft = donor.element(rng.choice(range(len(donor.spans))))
+    return _replace(index, rng.choice(range(len(index.spans))), graft)
 
 
 def _oid_corrupt(document: bytes, rng: random.Random,
                  donors: Sequence[bytes]) -> bytes:
     """Damage one OBJECT IDENTIFIER's content octets."""
-    tree = parse_forest(document)
-    oids = [node for node in flatten(tree)
-            if node.tag == tags.OBJECT_IDENTIFIER and node.content]
-    if not oids:
+    index = _index(document)
+    if not index.oids:
         return _bitflip(document, rng, donors)
-    node = rng.choice(oids)
+    number = rng.choice(index.oids)
+    content = index.content(number)
     mode = rng.randrange(3)
     if mode == 0:  # scramble one arc byte
-        data = bytearray(node.content)
+        data = bytearray(content)
         data[rng.randrange(len(data))] = rng.randrange(256)
-        node.content = bytes(data)
+        content = bytes(data)
     elif mode == 1:  # dangling continuation bit — arc never terminates
-        node.content += b"\x80"
+        content += b"\x80"
     else:  # drop the final arc byte
-        node.content = node.content[:-1]
-    return encode_forest(tree)
+        content = content[:-1]
+    return _with_content(index, number, content)
 
 
 def _time_corrupt(document: bytes, rng: random.Random,
                   donors: Sequence[bytes]) -> bytes:
     """Damage one UTCTime/GeneralizedTime string."""
-    tree = parse_forest(document)
-    times = [node for node in flatten(tree)
-             if node.tag in (tags.UTC_TIME, tags.GENERALIZED_TIME)
-             and node.content]
-    if not times:
+    index = _index(document)
+    if not index.times:
         return _bitflip(document, rng, donors)
-    node = rng.choice(times)
-    data = bytearray(node.content)
+    number = rng.choice(index.times)
+    data = bytearray(index.content(number))
     data[rng.randrange(len(data))] = rng.choice(b"0123456789Zz+. ")
-    node.content = bytes(data)
-    return encode_forest(tree)
+    return _with_content(index, number, bytes(data))
 
 
 def _sig_corrupt(document: bytes, rng: random.Random,
                  donors: Sequence[bytes]) -> bytes:
     """Flip one bit inside the last BIT STRING (the signatureValue)."""
-    tree = parse_forest(document)
-    bit_strings = [node for node in flatten(tree)
-                   if node.tag == tags.BIT_STRING and len(node.content) > 1]
-    if not bit_strings:
+    index = _index(document)
+    if not index.bit_strings:
         return _bitflip(document, rng, donors)
-    node = bit_strings[-1]
-    data = bytearray(node.content)
+    number = index.bit_strings[-1]
+    data = bytearray(index.content(number))
     position = 1 + rng.randrange(len(data) - 1)  # keep the unused-bits octet
     data[position] ^= 1 << rng.randrange(8)
-    node.content = bytes(data)
-    return encode_forest(tree)
+    return _with_content(index, number, bytes(data))
 
 
 def _ber_indefinite(document: bytes, rng: random.Random,
                     donors: Sequence[bytes]) -> bytes:
     """Re-encode one constructed element with BER indefinite length."""
-    tree = parse_forest(document)
-    constructed = [node for node in flatten(tree) if node.constructed]
-    if not constructed:
+    index = _index(document)
+    if not index.constructed:
         return _bitflip(document, rng, donors)
-    rng.choice(constructed).indefinite = True
-    return encode_forest(tree)
+    number = rng.choice(index.constructed)
+    tag = index.spans[number][3]
+    return _replace(index, number, bytes([tag, 0x80])
+                    + index.content(number) + b"\x00\x00")
 
 
 #: The deepest nest :func:`_depth_bomb` draws.
@@ -286,9 +394,3 @@ _MUTATORS: Dict[str, Callable[[bytes, random.Random, Sequence[bytes]], bytes]] =
     "length-bomb": _length_bomb,
 }
 
-
-def _natural_length(node: TLVNode) -> int:
-    """The true encoded size of a node's content."""
-    if node.children is not None:
-        return len(encode_forest(node.children))
-    return len(node.content)

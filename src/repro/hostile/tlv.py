@@ -1,17 +1,23 @@
-"""A lenient TLV tree model of DER, built for mutation.
+"""A lenient TLV model of DER, built for mutation.
 
 The strict :class:`repro.asn1.Reader` refuses anything non-canonical,
 which is the right behaviour for a verifier but useless for a mutation
 engine that must *round-trip* documents it is about to damage.  This
-module parses DER into a mutable tree of :class:`TLVNode` and
-serializes it back, with two deliberate lies available per node:
+module reads DER two ways under one set of header rules
+(:func:`_read_header`) and one set of caps:
 
-* ``length_override`` — announce a length other than the content's
-  true size (the length-inflate/deflate mutation families);
-* ``indefinite`` — emit the BER indefinite-length form (``0x80`` …
-  ``0x00 0x00``), which DER forbids.
+* :func:`element_spans` — one header walk that lists every element's
+  offset, header and content lengths, tag and parent, and builds no
+  nodes.  :mod:`repro.hostile.mutate` indexes each seed document with
+  it, and :func:`tlv_fixed_point` is that walk succeeding;
+* :func:`parse_forest` / :func:`encode_forest` — a mutable tree of
+  :class:`TLVNode` and its serializer, with two deliberate lies
+  available per node: ``length_override`` (announce a length other
+  than the content's true size) and ``indefinite`` (emit the BER
+  indefinite-length form, ``0x80`` … ``0x00 0x00``, which DER
+  forbids).  The tree is the reference the walk is tested against.
 
-Parsing is bounded exactly like the hardened Reader: nesting depth and
+Both are bounded exactly like the hardened Reader: nesting depth and
 element counts are capped, so the fixed-point harness can be pointed at
 arbitrary mutants (including depth bombs) and still fail with a typed
 :class:`~repro.asn1.errors.ASN1Error`.
@@ -154,73 +160,66 @@ def flatten(nodes: List[TLVNode]) -> List[TLVNode]:
     return out
 
 
-def flatten_slots(nodes: List[TLVNode]) -> List[Tuple[List[TLVNode], int]]:
-    """Every node as a ``(container_list, index)`` slot, pre-order.
+def element_spans(data: bytes) -> List[Tuple[int, int, int, int, int]]:
+    """``(offset, header_len, content_len, tag, parent)`` per element.
 
-    Slots let a mutator *replace* a node in place (subtree splicing)
-    without threading parent pointers through the tree.
-    """
-    out: List[Tuple[List[TLVNode], int]] = []
-    stack: List[Tuple[List[TLVNode], int]] = [
-        (nodes, i) for i in reversed(range(len(nodes)))]
-    while stack:
-        container, index = stack.pop()
-        out.append((container, index))
-        node = container[index]
-        if node.children is not None:
-            stack.extend((node.children, i)
-                         for i in reversed(range(len(node.children))))
-    return out
-
-
-def element_spans(data: bytes) -> List[Tuple[int, int, int]]:
-    """``(offset, header_len, content_len)`` for every element, by offset.
-
-    Walks the raw bytes with an explicit stack (no recursion), raising
-    the usual typed errors on malformed input — callers feed it valid
-    documents (truncation points) or crashers under a try/except.
+    One header walk with an explicit stack that builds no nodes.  It
+    follows :func:`parse_forest`'s rules, caps and visiting order, so
+    elements come in :func:`flatten` pre-order (which is offset order),
+    and it raises the typed error :func:`parse_forest` raises, at the
+    same element: it succeeds exactly when :func:`parse_forest` does.
+    *parent* is the list index of the enclosing element (-1 at top
+    level).
     """
     data = bytes(data)
-    spans: List[Tuple[int, int, int]] = []
-    stack: List[Tuple[int, int, int]] = [(0, len(data), 0)]
-    while stack:
-        start, end, depth = stack.pop()
-        offset = start
-        while offset < end:
-            if len(spans) > MAX_TREE_ELEMENTS:
+    spans: List[Tuple[int, int, int, int, int]] = []
+    end = len(data)
+    offset = depth = 0
+    parent = -1
+    stack: List[Tuple[int, int, int]] = []
+    while True:
+        while offset == end and stack:
+            end, depth, parent = stack.pop()
+        if offset == end:
+            return spans
+        if len(spans) >= MAX_TREE_ELEMENTS:
+            raise LimitExceededError(
+                f"more than {MAX_TREE_ELEMENTS} elements in one document",
+                offset=offset)
+        tag, header_len, content_len = _read_header(data, offset, end)
+        content_start = offset + header_len
+        content_end = content_start + content_len
+        if content_end > end:
+            raise TruncatedError(
+                f"content length {content_len} exceeds remaining "
+                f"{end - content_start} bytes", offset=offset)
+        spans.append((offset, header_len, content_len, tag, parent))
+        if tag & tags.CONSTRUCTED:
+            if depth >= MAX_TREE_DEPTH:
                 raise LimitExceededError(
-                    f"more than {MAX_TREE_ELEMENTS} elements in one document",
-                    offset=offset)
-            tag, header_len, content_len = _read_header(data, offset, end)
-            content_start = offset + header_len
-            content_end = content_start + content_len
-            if content_end > end:
-                raise TruncatedError(
-                    f"content length {content_len} exceeds remaining "
-                    f"{end - content_start} bytes", offset=offset)
-            spans.append((offset, header_len, content_len))
-            if tags.is_constructed(tag) and depth < MAX_TREE_DEPTH:
-                stack.append((content_start, content_end, depth + 1))
+                    f"TLV tree deeper than {MAX_TREE_DEPTH} levels",
+                    offset=content_start)
+            stack.append((end, depth, parent))
+            end, depth, parent = content_end, depth + 1, len(spans) - 1
+            offset = content_start
+        else:
             offset = content_end
-    spans.sort()
-    return spans
 
 
 def tlv_fixed_point(der: bytes) -> bool:
     """True when decode→re-encode→decode is a fixed point for *der*.
 
     The differential invariant for survivors: a document our parsers
-    accept must round-trip through the TLV layer to stable bytes.
-    Returns False when either decode fails or the two encodings differ.
-    When the first re-encoding reproduces *der* exactly, the second
-    round would parse the same bytes and so re-encode them identically:
-    that case answers True after one round.
+    accept must round-trip through the TLV layer to stable bytes.  That
+    holds exactly when :func:`parse_forest` accepts *der*, so this is
+    one :func:`element_spans` walk.  :func:`encode_forest` copies every
+    tag and every primitive content and writes minimal lengths, which
+    are no longer than the ones parsed; so the first re-encoding
+    parses, under the same caps, into the same tree, and the second
+    re-encoding equals the first.
     """
     try:
-        first = encode_forest(parse_forest(der))
-        if first == der:
-            return True
-        second = encode_forest(parse_forest(first))
+        element_spans(der)
     except ASN1Error:
         return False
-    return first == second
+    return True

@@ -55,8 +55,6 @@ def serve_identity_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     window = traffic[payload["lo"]:payload["hi"]]
     app = ServeApp.for_world(world, now=now)
     served = [app.exchange(request).body for request in window]
-    # The app and direct_responses share the world's responders and
-    # so their cache counters: read the app's share first.
     stats = app.stats()
     direct = direct_responses(world, window, now)
     mismatches = sum(1 for s, d in zip(served, direct) if s != d)

@@ -135,9 +135,15 @@ def replay_inprocess(app, requests: Sequence[HTTPRequest],  # repro: allow-effec
 
 def direct_responses(world, requests: Sequence[HTTPRequest],
                      now: int) -> List[bytes]:
-    """Ground truth: each request answered by the in-process core."""
+    """Ground truth: each request answered by the in-process core.
+
+    Each responder answers from a response cache of its own
+    (:meth:`~repro.ca.OCSPResponder.without_cache`), so nothing a
+    server over the same world stored can reach the answers.
+    """
     from ..simnet.http import ocsp_http_exchange
-    by_host = {site.hostname: site.responder for site in world.sites}
+    by_host = {site.hostname: site.responder.without_cache()
+               for site in world.sites}
     bodies = []
     for request in requests:
         bodies.append(ocsp_http_exchange(

@@ -72,7 +72,7 @@ class TestTLV:
 
     def test_element_spans_sorted_by_offset(self, world):
         spans = element_spans(world.documents["ocsp"])
-        offsets = [offset for offset, _, _ in spans]
+        offsets = [span[0] for span in spans]
         assert offsets == sorted(offsets)
 
     def test_parse_forest_depth_cap(self):

@@ -7,6 +7,8 @@ rows/series/summary digests of the small-scale Figure 3 family, of
 the two chaos experiments and of the two other scan-shard consumers
 (``sec5-freshness``, ``monitor-convergence``; timings dropped), and of
 every hostile-corpus row, error attribution included, as recorded by ``tools/record_result_digests.py``.
+The same tool records ``tests/data/hostile/mutant_digests.json``, the
+digests of the hostile mutants' bytes themselves.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-FROZEN = json.loads((Path(__file__).resolve().parent / "data"
-                     / "result_digests.json").read_text())
+DATA = Path(__file__).resolve().parent / "data"
+FROZEN = json.loads((DATA / "result_digests.json").read_text())
+FROZEN_MUTANTS = json.loads(
+    (DATA / "hostile" / "mutant_digests.json").read_text())["seeds"]
 
 
 def _recorder():
@@ -48,6 +52,18 @@ def test_hostile_corpus_digests_frozen():
     assert not drifted, f"hostile rows drifted in {drifted}"
     assert set(current["rows"]) == set(frozen["rows"])
     assert current["summary"] == frozen["summary"]
+
+
+def test_mutant_digests_frozen():
+    recorder = _recorder()
+    assert set(FROZEN_MUTANTS) == {str(seed)
+                                   for seed in recorder.MUTANT_SEEDS}
+    current = recorder.mutant_digests()
+    for seed, groups in sorted(FROZEN_MUTANTS.items()):
+        assert set(current[seed]) == set(groups)
+        drifted = sorted(group for group, digest in groups.items()
+                         if current[seed][group] != digest)
+        assert not drifted, f"seed {seed}: mutant bytes drifted in {drifted}"
 
 
 def test_chaos_digests_frozen():

@@ -13,6 +13,7 @@ import asyncio
 import pytest
 
 from repro.ca import OCSPResponder, ResponderProfile
+from repro.datasets import WorldConfig
 from repro.ocsp import OCSPRequest, ResponseArtifact
 from repro.serve import (
     ServeApp,
@@ -515,3 +516,49 @@ class TestLoadgen:
 
 def _replay_in_fresh_loop(port, traffic):
     return replay_tcp("127.0.0.1", port, traffic, concurrency=4)
+
+
+class TestIdentityShard:
+    """``serve-loadtest``'s identity rows compare the app with a ground
+    truth that shares no response cache with it."""
+
+    PAYLOAD = {"world": WorldConfig(n_responders=40, certs_per_responder=1,
+                                    seed=13).to_dict(),
+               "seed": 6960, "requests": 300, "get_fraction": 0.25,
+               "nonce_fraction": 0.03, "lo": 0, "hi": 300}
+
+    def test_identical_when_nothing_is_wrong(self):
+        from repro.serve.experiments import serve_identity_shard
+        row, = serve_identity_shard(self.PAYLOAD)
+        assert row["mismatches"] == 0
+        assert row["served_digest"] == row["direct_digest"]
+        assert row["cache_hits"] > 0
+
+    def test_sees_a_corrupted_served_cache_entry(self, monkeypatch):
+        """The first signed answer is corrupted as it is stored, so
+        the app serves the bad bytes every time.  A ground truth read
+        from the same cache would serve them too and see nothing."""
+        import dataclasses
+        from repro.serve.experiments import serve_identity_shard
+        exchange = ServeApp.exchange
+        corrupted = []
+
+        def exchange_then_corrupt(app, request, now=None):
+            response = exchange(app, request, now)
+            if corrupted:
+                return response
+            for entry in app.responders[request.host]._responses.values():
+                if entry[2] is not None and entry[2].source == "signed" \
+                        and entry[2].body == response.body:
+                    body = bytes(response.body[:-1]) + bytes(
+                        [response.body[-1] ^ 0x01])
+                    entry[2] = ResponseArtifact(body=body, source="signed")
+                    corrupted.append(request)
+                    return dataclasses.replace(response, body=body)
+            return response
+
+        monkeypatch.setattr(ServeApp, "exchange", exchange_then_corrupt)
+        row, = serve_identity_shard(self.PAYLOAD)
+        assert corrupted
+        assert row["mismatches"] > 0
+        assert row["served_digest"] != row["direct_digest"]

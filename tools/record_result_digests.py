@@ -23,10 +23,17 @@ timing and is dropped before digesting.
 Timings, provenance and the run manifest are measurements, not
 results, so they are left out.
 
+``tests/data/hostile/mutant_digests.json`` pins the mutants
+themselves: for the default hostile corpus (seed 2018) and the
+disjoint corpus ``perfbench``'s hostile-fleet reruns (seed
+2018 + 10**6), one digest of every mutant's DER per ``(kind, family)``.
+A mutation change that alters bytes but keeps each mutant's
+classification passes the row digests and fails this one.
+
 Usage::
 
     PYTHONPATH=src python tools/record_result_digests.py          # print
-    PYTHONPATH=src python tools/record_result_digests.py --write  # refresh
+    PYTHONPATH=src python tools/record_result_digests.py --write  # refresh both
 
 Refreshing the file is a check change: only a change that means to
 alter results may do it, and it must say so.
@@ -43,8 +50,14 @@ from typing import Any, Dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-DIGESTS = (Path(__file__).resolve().parent.parent / "tests" / "data"
-           / "result_digests.json")
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+DIGESTS = DATA / "result_digests.json"
+MUTANT_DIGESTS = DATA / "hostile" / "mutant_digests.json"
+
+#: Mutation seeds whose mutant bytes are frozen: the default corpus and
+#: the rerun corpus of perfbench's hostile-fleet (its base seed plus its
+#: ``rerun_seed_offset``).
+MUTANT_SEEDS = (2018, 2018 + 1_000_000)
 
 #: The Figure 3 family, in the order a shared cache fills and serves.
 SCAN_FAMILY = ("fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
@@ -86,6 +99,30 @@ def hostile_digests() -> Dict[str, Any]:
                      for group, rows in sorted(groups.items())},
             "row_count": len(result.rows),
             "summary": stable_digest(result.summary)}
+
+
+def mutant_digests() -> Dict[str, Dict[str, str]]:
+    """Per-seed, per-(kind, family) digest of every mutant's DER, in
+    mutation-id order, for the default corpus shape."""
+    from repro.canon import stable_digest
+    from repro.hostile import mutate, seed_world
+    from repro.runtime import HostileCorpusConfig
+
+    out = {}
+    for seed in MUTANT_SEEDS:
+        config = HostileCorpusConfig(seed=seed)
+        world = seed_world(config.reference_time)
+        groups: Dict[str, list] = {}
+        for kind in config.kinds:
+            document = world.documents[kind]
+            for mutation_id in range(config.mutants_per_kind):
+                mutant = mutate(document, mutation_id, seed,
+                                donors=world.donors)
+                groups.setdefault(f"{kind}/{mutant.family}", []).append(
+                    mutant.der.hex())
+        out[str(seed)] = {group: stable_digest(ders)
+                          for group, ders in sorted(groups.items())}
+    return out
 
 
 def chaos_digests() -> Dict[str, Dict[str, str]]:
@@ -152,12 +189,20 @@ def main(argv=None) -> int:
                   "tools/record_result_digests.py"),
         **compute(),
     }
-    text = json.dumps(document, indent=1, sort_keys=True) + "\n"
-    if args.write:
-        DIGESTS.write_text(text)
-        print(f"wrote {DIGESTS}")
-    else:
-        sys.stdout.write(text)
+    mutants = {
+        "about": ("stable_digest of the hex DER of every hostile mutant, in "
+                  "mutation-id order, per mutation seed and kind/family, "
+                  "for the default corpus shape; written by "
+                  "tools/record_result_digests.py"),
+        "seeds": mutant_digests(),
+    }
+    for path, doc in ((DIGESTS, document), (MUTANT_DIGESTS, mutants)):
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        if args.write:
+            path.write_text(text)
+            print(f"wrote {path}")
+        else:
+            sys.stdout.write(text)
     return 0
 
 
