@@ -76,6 +76,8 @@ class CallRule:
 
 
 _WALL_MSG = "wall-clock read; take a reference time argument"
+_NATIVE_LOAD_MSG = ("native library load; what loads depends on the "
+                    "machine's shared libraries")
 
 #: ``obj.attr(...)`` leaf seeds, keyed on the last two dotted parts.
 ATTR_CALL_RULES: Tuple[CallRule, ...] = (
@@ -128,6 +130,8 @@ ATTR_CALL_RULES: Tuple[CallRule, ...] = (
     CallRule("socket", "gethostname", Effect.ENV, "machine-identity read"),
     CallRule("os", "getcwd", Effect.ENV,
              "working-directory read; pass paths explicitly"),
+    CallRule("ctypes", "CDLL", Effect.ENV, _NATIVE_LOAD_MSG),
+    CallRule("ctypes", "PyDLL", Effect.ENV, _NATIVE_LOAD_MSG),
     CallRule("os", "listdir", Effect.FS_READ, "directory read"),
     CallRule("os", "scandir", Effect.FS_READ, "directory read"),
     CallRule("os", "walk", Effect.FS_READ, "directory read"),
@@ -227,7 +231,8 @@ NAME_CALL_RULES: Dict[str, Tuple[Effect, str]] = {
 #: Method-name seeds applied to *any* receiver when the two-part pair
 #: lookup misses — the pathlib idiom (``some_path.read_text()``).
 #: Deliberately conservative: only names that unambiguously touch the
-#: filesystem no matter the receiver type.
+#: filesystem or load a native library (``ctypes.cdll.LoadLibrary``) no
+#: matter the receiver type.
 METHOD_TAIL_RULES: Dict[str, Tuple[Effect, str]] = {
     "read_text": (Effect.FS_READ, "file read"),
     "read_bytes": (Effect.FS_READ, "file read"),
@@ -239,6 +244,7 @@ METHOD_TAIL_RULES: Dict[str, Tuple[Effect, str]] = {
     "touch": (Effect.FS_WRITE, "file write"),
     "hardlink_to": (Effect.FS_WRITE, "file write"),
     "symlink_to": (Effect.FS_WRITE, "file write"),
+    "LoadLibrary": (Effect.ENV, _NATIVE_LOAD_MSG),
 }
 
 #: Mutator methods that, called on a module-level name, constitute

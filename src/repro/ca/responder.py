@@ -55,6 +55,21 @@ _JAVASCRIPT_BODY = (
 #: Distinct request DERs one responder keeps answered.
 _RESPONSE_CACHE_CAP = 256
 
+#: RFC 8954: a request nonce is 1 to 32 octets; any other length is a
+#: malformed request, so no requester puts large chosen bytes under
+#: the CA's signature.
+MAX_NONCE_OCTETS = 32
+#: CertIDs one request may name.  Each becomes a SingleResponse the
+#: responder signs, so the cap bounds one request's signing work.
+MAX_CERT_IDS = 16
+
+
+def _within_caps(request: OCSPRequest) -> bool:
+    """Does *request* stay inside the nonce and CertID caps?"""
+    nonce = request.nonce
+    return len(request.cert_ids) <= MAX_CERT_IDS and \
+        (nonce is None or 1 <= len(nonce) <= MAX_NONCE_OCTETS)
+
 
 class OCSPResponder:
     """Serves OCSP responses for a CA according to a behaviour profile."""
@@ -105,6 +120,9 @@ class OCSPResponder:
         junk regardless of input.  A repeat of the same request bytes
         in the same :meth:`signing_epoch` returns the stored artifact
         (counted in ``cache_hits``); malformed DER is never stored.
+        A request with a nonce outside 1..:data:`MAX_NONCE_OCTETS`
+        octets or more than :data:`MAX_CERT_IDS` CertIDs is answered
+        ``malformedRequest`` and never stored either.
         """
         malformed = self._malformed_body(now)
         if malformed is not None:
@@ -123,6 +141,8 @@ class OCSPResponder:
             try:
                 ocsp_request = OCSPRequest.from_der(request_der)
             except (ASN1Error, ValueError):
+                return self._error_artifact(ResponseStatus.MALFORMED_REQUEST)
+            if not _within_caps(ocsp_request):
                 return self._error_artifact(ResponseStatus.MALFORMED_REQUEST)
             if len(self._responses) >= _RESPONSE_CACHE_CAP:
                 self._responses.pop(next(iter(self._responses)))

@@ -1,8 +1,13 @@
-"""Pure-Python RSA crypto substrate (keygen, PKCS#1 v1.5 signatures).
+"""RSA crypto substrate (keygen, PKCS#1 v1.5 signatures).
 
 Everything a CA, web server, or OCSP responder in the simulation signs
-or verifies goes through this package; there is no dependency on
-OpenSSL or the ``cryptography`` package.
+or verifies goes through this package.  It is Python over integers,
+except that the full-size modular exponentiations of Miller-Rabin and
+of RSA signing and verification go through :func:`.modexp.powmod`:
+OpenSSL's ``BN_mod_exp`` when ``libcrypto.so.3`` loads (``hashlib``
+has already loaded it), and builtin ``pow`` otherwise, with the same
+integers either way.  There is no dependency on the ``cryptography``
+package.
 """
 
 from .prime import generate_prime, is_probable_prime

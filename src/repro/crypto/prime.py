@@ -13,6 +13,8 @@ import math
 import random
 from typing import List, Optional
 
+from .modexp import powmod
+
 
 def _primes_below(limit: int) -> List[int]:
     """The primes below *limit* (sieve of Eratosthenes)."""
@@ -65,7 +67,7 @@ def is_probable_prime(candidate: int, rng: Optional[random.Random] = None,
         witness = rng.randrange(2, candidate - 1)
         if divisor != 1 and pow(witness, candidate - 1, divisor) != 1:
             return False
-        x = pow(witness, d, candidate)
+        x = powmod(witness, d, candidate)
         if x in (1, candidate - 1):
             continue
         for _ in range(r - 1):

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .modexp import powmod
 from .prime import generate_prime
 
 #: Standard public exponent.
@@ -32,7 +33,7 @@ class RSAPublicKey:
 
     def raw_verify(self, signature_int: int) -> int:
         """Apply the public operation ``s^e mod n``."""
-        return pow(signature_int, self.e, self.n)
+        return powmod(signature_int, self.e, self.n)
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class RSAPrivateKey:
         if not 0 <= message_int < self.n:
             raise ValueError("message representative out of range")
         dp, dq, q_inv = self._crt_params()
-        s1 = pow(message_int, dp, self.p)
-        s2 = pow(message_int, dq, self.q)
+        s1 = powmod(message_int, dp, self.p)
+        s2 = powmod(message_int, dq, self.q)
         h = (q_inv * (s1 - s2)) % self.p
         return s2 + self.q * h
 

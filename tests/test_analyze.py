@@ -312,6 +312,40 @@ def test_three_calls_deep_wall_clock_fails_contract(tmp_path):
     assert not analysis.ok  # and it is a finding, not just a verdict
 
 
+@pytest.mark.parametrize("load", [
+    "ctypes.CDLL('libcrypto.so.3')",
+    "ctypes.PyDLL('libcrypto.so.3')",
+    "ctypes.cdll.LoadLibrary('libcrypto.so.3')",
+])
+def test_unpragmad_native_load_is_a_finding(tmp_path, load):
+    """Which library a load finds is a machine read: a contract that
+    reaches one is impure until the load site justifies it."""
+    root = registry_tree(tmp_path, (
+        "import ctypes\n"
+        "def run_native(config):\n"
+        f"    return {load}\n"
+    ), "fixpkg.runners:run_native")
+    analysis = analyze_tree(root)
+    result = contract_for(analysis, "fixpkg.runners:run_native")
+    assert [v.effect for v in result.violations] == [Effect.ENV]
+    assert [f.rule_id for f in analysis.report.findings] == \
+        ["ANALYZE_IMPURE_CONTRACT"]
+
+
+def test_pragmad_native_load_is_allowed(tmp_path):
+    root = registry_tree(tmp_path, (
+        "import ctypes\n"
+        "def run_native(config):\n"
+        "    return ctypes.PyDLL('libcrypto.so.3')  "
+        "# repro: allow-effect[ENV] -- only speed depends on it\n"
+    ), "fixpkg.runners:run_native")
+    analysis = analyze_tree(root)
+    result = contract_for(analysis, "fixpkg.runners:run_native")
+    assert result.ok
+    assert [a.site.effect for a in result.allowed] == [Effect.ENV]
+    assert analysis.ok
+
+
 def test_unresolvable_registry_ref_is_an_error(tmp_path):
     root = write_tree(tmp_path, {
         "core/experiments.py": REGISTRY.format(ref="fixpkg.runners:missing"),

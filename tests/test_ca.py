@@ -18,6 +18,7 @@ from repro.ca import (
     superfluous_certs_profile,
     zero_margin_profile,
 )
+from repro.ca.responder import MAX_CERT_IDS
 from repro.crypto import generate_keypair
 from repro.ocsp import (
     CertID,
@@ -497,6 +498,76 @@ class TestRequestMemo:
         assert revoked == fresh.handle(request, NOW).body != good
         single = OCSPResponse.from_der(revoked).basic.single_responses[0]
         assert single.cert_status is CertStatus.REVOKED
+
+
+class TestRequestCaps:
+    """One request cannot make the responder sign chosen bulk: a nonce
+    outside RFC 8954's 1..32 octets or too many CertIDs is a typed
+    ``malformedRequest``, never stored."""
+
+    @staticmethod
+    def status(responder, request):
+        body = responder.handle(request.encode(), NOW).body
+        return OCSPResponse.from_der(body).response_status
+
+    @staticmethod
+    def cert_ids(authority, leaf, count):
+        cert_id = CertID.for_certificate(leaf, authority.certificate)
+        return [CertID(cert_id.hash_name, cert_id.issuer_name_hash,
+                       cert_id.issuer_key_hash, serial)
+                for serial in range(1, count + 1)]
+
+    def test_huge_nonce_is_malformed_and_not_stored(self, authority, leaf):
+        responder = make_responder(authority)
+        cert_id = CertID.for_certificate(leaf, authority.certificate)
+        request = OCSPRequest.for_single(cert_id, nonce=b"\xa5" * 100_000)
+        for _ in range(2):
+            assert self.status(responder, request) is \
+                ResponseStatus.MALFORMED_REQUEST
+        assert responder.cache_stats() == {"entries": 0, "hits": 0,
+                                           "misses": 0}
+
+    def test_thousand_cert_ids_is_malformed_and_not_stored(self, authority,
+                                                           leaf):
+        responder = make_responder(authority)
+        request = OCSPRequest(cert_ids=self.cert_ids(authority, leaf, 1000))
+        assert 1000 > MAX_CERT_IDS
+        for _ in range(2):
+            assert self.status(responder, request) is \
+                ResponseStatus.MALFORMED_REQUEST
+        assert responder.cache_stats() == {"entries": 0, "hits": 0,
+                                           "misses": 0}
+
+    @pytest.mark.parametrize("length, ok", [
+        (0, False), (1, True), (8, True), (16, True), (32, True),
+        (33, False),
+    ])
+    def test_nonce_length_bounds(self, authority, leaf, length, ok):
+        responder = make_responder(authority)
+        cert_id = CertID.for_certificate(leaf, authority.certificate)
+        nonce = b"\x01" * length
+        request = OCSPRequest.for_single(cert_id, nonce=nonce)
+        body = responder.handle(request.encode(), NOW).body
+        if ok:
+            result = verify_response(body, cert_id, authority.certificate,
+                                     NOW, expected_nonce=nonce)
+            assert result.ok, result.error
+        else:
+            assert OCSPResponse.from_der(body).response_status is \
+                ResponseStatus.MALFORMED_REQUEST
+
+    def test_cert_id_cap_is_inclusive(self, authority, leaf):
+        """At the cap every CertID is answered one for one; one more
+        is refused, so one request signs at most the cap's singles."""
+        responder = make_responder(authority)
+        at_cap = self.cert_ids(authority, leaf, MAX_CERT_IDS)
+        body = responder.handle(OCSPRequest(cert_ids=at_cap).encode(),
+                                NOW).body
+        singles = OCSPResponse.from_der(body).basic.single_responses
+        assert [single.cert_id for single in singles] == at_cap
+        over = self.cert_ids(authority, leaf, MAX_CERT_IDS + 1)
+        assert self.status(responder, OCSPRequest(cert_ids=over)) is \
+            ResponseStatus.MALFORMED_REQUEST
 
 
 class TestCRLService:

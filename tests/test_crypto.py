@@ -22,6 +22,7 @@ from repro.crypto import (
     sign,
     verify,
 )
+from repro.crypto import modexp
 
 
 class TestPrimes:
@@ -117,6 +118,18 @@ _CANDIDATES = st.one_of(
 )
 
 
+def _assert_same_verdict_and_draws(candidate: int, seed: int) -> None:
+    fast_rng, reference_rng = random.Random(seed), random.Random(seed)
+    assert is_probable_prime(candidate, fast_rng) == \
+        _reference_is_probable_prime(candidate, reference_rng)
+    assert fast_rng.getstate() == reference_rng.getstate()
+
+
+def _assert_same_verdict(candidate: int) -> None:
+    assert is_probable_prime(candidate) == \
+        _reference_is_probable_prime(candidate)
+
+
 class TestPrimeSieveExactness:
     """The pre-checked Miller-Rabin gives the same verdict after the
     same draws from the caller's RNG, so every generated key is
@@ -125,16 +138,12 @@ class TestPrimeSieveExactness:
     @settings(max_examples=300, deadline=None)
     @given(candidate=_CANDIDATES, seed=st.integers(0, 2 ** 32))
     def test_matches_reference_verdict_and_draws(self, candidate, seed):
-        fast_rng, reference_rng = random.Random(seed), random.Random(seed)
-        assert is_probable_prime(candidate, fast_rng) == \
-            _reference_is_probable_prime(candidate, reference_rng)
-        assert fast_rng.getstate() == reference_rng.getstate()
+        _assert_same_verdict_and_draws(candidate, seed)
 
     @settings(max_examples=100, deadline=None)
     @given(candidate=_CANDIDATES)
     def test_matches_reference_with_default_rng(self, candidate):
-        assert is_probable_prime(candidate) == \
-            _reference_is_probable_prime(candidate)
+        _assert_same_verdict(candidate)
 
     @pytest.mark.parametrize("candidate", _CARMICHAEL)
     def test_carmichael_numbers_rejected(self, candidate):
@@ -291,3 +300,40 @@ class TestKeyPool:
         pool = KeyPool(size=4, bits=512, seed=seed)
         moduli = b"".join(pool.take().n.to_bytes(64, "big") for _ in range(4))
         assert hashlib.sha256(moduli).hexdigest() == digest
+
+
+@pytest.fixture(scope="class")
+def pow_backend():
+    """Every ``powmod`` of the class runs on builtin ``pow``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modexp, "_BACKEND", None)
+        yield
+
+
+@pytest.mark.usefixtures("pow_backend")
+class TestPrimeSieveExactnessOnPow:
+    """The same verdicts after the same draws without libcrypto.
+
+    New property tests over the shared checks, not a subclass:
+    Hypothesis refuses one ``@given`` test run from two classes.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate=_CANDIDATES, seed=st.integers(0, 2 ** 32))
+    def test_matches_reference_verdict_and_draws(self, candidate, seed):
+        _assert_same_verdict_and_draws(candidate, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(candidate=_CANDIDATES)
+    def test_matches_reference_with_default_rng(self, candidate):
+        _assert_same_verdict(candidate)
+
+    test_carmichael_numbers_rejected = \
+        TestPrimeSieveExactness.test_carmichael_numbers_rejected
+    test_every_small_answer_unchanged = \
+        TestPrimeSieveExactness.test_every_small_answer_unchanged
+
+
+@pytest.mark.usefixtures("pow_backend")
+class TestKeyPoolOnPow(TestKeyPool):
+    """The same frozen moduli without libcrypto."""
