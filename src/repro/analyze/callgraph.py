@@ -17,6 +17,9 @@ Resolution strategy — optimistic on the genuinely dynamic:
 * local variables are typed from parameter/return annotations and
   direct ``ClassName(...)`` assignments, so ``world.snapshot()``
   resolves when ``world`` came from an annotated constructor/factory;
+* a method call on a module-level ``BoundedMemo`` is a global mutation
+  allowed under :data:`~repro.analyze.effects.MEMO_GRANT`; any other
+  write to it, or to a plain module-level container, is a finding;
 * a function or method passed as a call *argument* conservatively
   creates a call edge (covers ``functools.partial``, ``map``, and
   registry dicts of callables);
@@ -42,6 +45,7 @@ from .effects import (
     GLOBAL_RNG_FUNCS,
     GLOBAL_RNG_MESSAGE,
     HASH_MESSAGE,
+    MEMO_GRANT,
     METHOD_TAIL_RULES,
     MUTATOR_METHODS,
     NAME_CALL_RULES,
@@ -391,7 +395,7 @@ class _Linker:
         self.info = info
         self.env: Dict[str, str] = {}   # local name -> class qualname
         self._shadowed: Optional[Set[str]] = None
-        self._module_names: Optional[Set[str]] = None
+        self._module_names: Optional[Dict[str, Optional[ast.expr]]] = None
 
     # -- name resolution -----------------------------------------------------
 
@@ -787,19 +791,27 @@ class _Linker:
             self._shadowed = names
         return self._shadowed
 
-    def _module_level_names(self) -> Set[str]:
+    def _module_level_names(self) -> Dict[str, Optional[ast.expr]]:
+        """Module-level assigned names -> the value last assigned."""
         if self._module_names is None:
-            names: Set[str] = set()
+            names: Dict[str, Optional[ast.expr]] = {}
             for child in self.module.tree.body:
                 if isinstance(child, ast.Assign):
                     for target in child.targets:
                         if isinstance(target, ast.Name):
-                            names.add(target.id)
+                            names[target.id] = child.value
                 elif isinstance(child, ast.AnnAssign) and \
                         isinstance(child.target, ast.Name):
-                    names.add(child.target.id)
+                    names[child.target.id] = child.value
             self._module_names = names
         return self._module_names
+
+    def _is_memo(self, name: str) -> bool:
+        """Is module-level *name* bound to a ``BoundedMemo(...)`` call?"""
+        value = self._module_level_names()[name]
+        return isinstance(value, ast.Call) and \
+            self.resolve_callable(value.func) == (
+                "class", f"{self.graph.program.package}.memo:BoundedMemo")
 
     def _check_global_mutation(self, node: ast.AST) -> None:
         def is_global_base(expr: ast.AST) -> Optional[str]:
@@ -826,13 +838,18 @@ class _Linker:
                             Effect.GLOBAL_MUTATION, node.lineno,
                             f"{name}[...] =", GLOBAL_MUTATION_MESSAGE)
         elif isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                node.func.attr in MUTATOR_METHODS:
+                isinstance(node.func, ast.Attribute):
             name = is_global_base(node.func.value)
-            if name is not None:
-                self._add_effect(
-                    Effect.GLOBAL_MUTATION, node.lineno,
-                    f"{name}.{node.func.attr}()", GLOBAL_MUTATION_MESSAGE)
+            if name is None:
+                return
+            code = f"{name}.{node.func.attr}()"
+            if isinstance(node.func.value, ast.Name) and self._is_memo(name):
+                self.info.allowed.append((EffectSite(
+                    Effect.GLOBAL_MUTATION, node.lineno, code,
+                    GLOBAL_MUTATION_MESSAGE), MEMO_GRANT))
+            elif node.func.attr in MUTATOR_METHODS:
+                self._add_effect(Effect.GLOBAL_MUTATION, node.lineno, code,
+                                 GLOBAL_MUTATION_MESSAGE)
 
 
 def _open_effect(node: ast.Call) -> Tuple[Effect, str]:

@@ -266,11 +266,6 @@ def banned_attr_call_messages() -> Dict[Tuple[str, str], str]:
             for rule in ATTR_CALL_RULES if rule.determinism_ban}
 
 
-def determinism_ban_rules() -> List[CallRule]:
-    """The seed rules the per-file determinism lint also bans."""
-    return [rule for rule in ATTR_CALL_RULES if rule.determinism_ban]
-
-
 # ---------------------------------------------------------------------------
 # pragma grammar
 # ---------------------------------------------------------------------------
@@ -297,6 +292,14 @@ class Pragma:
     effects: Tuple[Effect, ...]     # empty for broad-except
     justification: str
     text: str
+
+
+#: The grant under which a call on a module-level ``BoundedMemo``
+#: (``<package>.memo``) is recorded as an allowed GLOBAL_MUTATION:
+#: memo fills stay listed, pragma-free.
+MEMO_GRANT = Pragma(0, "effect", (Effect.GLOBAL_MUTATION,), (
+    "bounded memo of a pure function of its key; a hit returns the "
+    "value a rebuild would give"), "BoundedMemo")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ mode exists solely for the parser ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import tags
 from .errors import (
@@ -28,6 +28,7 @@ from .errors import (
     TagMismatchError,
     TruncatedError,
 )
+from ..memo import BoundedMemo
 from .oid import ObjectIdentifier
 from .timecodec import decode_time
 
@@ -50,12 +51,10 @@ MAX_ELEMENTS = 100_000
 #: Decoded OBJECT IDENTIFIERs keyed by their content octets.  A scan
 #: decodes the same dozen algorithm, name-attribute and extension OIDs
 #: in every certificate and response, so :meth:`Reader.read_oid` hands
-#: back one shared (immutable) instance per content.  Entries are
-#: evicted oldest first; a Figure 3 campaign at any scale reuses 13
-#: contents, so 256 leaves room for CRL, lint and extension OIDs.
-#: Malformed content raises before it is stored.
-_OIDS: Dict[bytes, ObjectIdentifier] = {}
-_OID_CAP = 256
+#: back one shared (immutable) instance per content.  A Figure 3
+#: campaign at any scale reuses 13 contents, so 256 leaves room for
+#: CRL, lint and extension OIDs.
+_OIDS: BoundedMemo[bytes, ObjectIdentifier] = BoundedMemo(256)
 
 
 class Reader:
@@ -271,12 +270,8 @@ class Reader:
 
     def read_oid(self) -> ObjectIdentifier:
         """Read an OBJECT IDENTIFIER (interned by content, see :data:`_OIDS`)."""
-        content = self._read_expected(tags.OBJECT_IDENTIFIER)
-        value = _OIDS.get(content)
-        if value is None:
-            value = ObjectIdentifier.decode_content(content)
-            _intern_oid(content, value)
-        return value
+        return _OIDS.lookup(self._read_expected(tags.OBJECT_IDENTIFIER),
+                            ObjectIdentifier.decode_content)
 
     def read_string(self) -> str:
         """Read any of the supported character string types."""
@@ -333,12 +328,6 @@ class Reader:
         if self._pos >= self._end or self._data[self._pos] != tag:
             return None
         return self._sub_reader(tag)
-
-
-def _intern_oid(content: bytes, value: ObjectIdentifier) -> None:  # repro: allow-effect[GLOBAL_MUTATION] -- bounded intern table of a pure decode; a hit returns an immutable value equal to a fresh decode
-    if len(_OIDS) >= _OID_CAP:
-        _OIDS.pop(next(iter(_OIDS)))
-    _OIDS[content] = value
 
 
 def decode_integer_content(content: bytes, lenient: bool = False) -> int:

@@ -84,10 +84,6 @@ class ClientOCSPCache:
         self.hits += 1
         return entry
 
-    def evict(self, cert_id: CertID) -> None:
-        """Forget one entry."""
-        self._entries.pop(self._key(cert_id), None)
-
     def __len__(self) -> int:
         return len(self._entries)
 

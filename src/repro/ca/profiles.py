@@ -112,11 +112,6 @@ class ResponderProfile:
         """True when responses are generated per request."""
         return self.update_interval is None
 
-    @property
-    def effective_validity(self) -> Optional[int]:
-        """The validity period, or None when nextUpdate is blank."""
-        return None if self.blank_next_update else self.validity_period
-
 
 def well_behaved_profile() -> ResponderProfile:
     """The baseline: weekly validity, hourly-safe margin, one serial."""

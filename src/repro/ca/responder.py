@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from ..asn1.errors import ASN1Error
 from ..canon import stable_seed
 from ..crypto import RSAPrivateKey, generate_keypair
+from ..memo import BoundedMemo
 from ..ocsp import (
     CertID,
     CertStatus,
@@ -52,9 +53,6 @@ _JAVASCRIPT_BODY = (
     b"</script></head><body>Please enable JavaScript.</body></html>"
 )
 
-#: Distinct request DERs one responder keeps answered.
-_RESPONSE_CACHE_CAP = 256
-
 #: RFC 8954: a request nonce is 1 to 32 octets; any other length is a
 #: malformed request, so no requester puts large chosen bytes under
 #: the CA's signature.
@@ -64,11 +62,15 @@ MAX_NONCE_OCTETS = 32
 MAX_CERT_IDS = 16
 
 
-def _within_caps(request: OCSPRequest) -> bool:
-    """Does *request* stay inside the nonce and CertID caps?"""
+def _cache_entry(request_der: bytes) -> list:
+    """``[parsed request, epoch, artifact]``; raises for undecodable DER
+    and for a request outside the nonce and CertID caps."""
+    request = OCSPRequest.from_der(request_der)
     nonce = request.nonce
-    return len(request.cert_ids) <= MAX_CERT_IDS and \
-        (nonce is None or 1 <= len(nonce) <= MAX_NONCE_OCTETS)
+    if len(request.cert_ids) > MAX_CERT_IDS or \
+            (nonce is not None and not 1 <= len(nonce) <= MAX_NONCE_OCTETS):
+        raise ValueError("request outside the nonce or CertID caps")
+    return [request, None, None]
 
 
 class OCSPResponder:
@@ -87,7 +89,7 @@ class OCSPResponder:
         # a pre-generating responder *serves the same bytes* all epoch,
         # and scanners re-send identical request bytes every probe, so
         # each distinct request parses once and signs once per epoch.
-        self._responses: Dict[bytes, list] = {}
+        self._responses: BoundedMemo[bytes, list] = BoundedMemo(256)
         self.cache_hits = 0
         self.cache_misses = 0
         # (now, registry revision, epoch) of the last epoch computed.
@@ -135,18 +137,10 @@ class OCSPResponder:
                 "OCSPResponder.handle(request_der, now) takes DER request "
                 "bytes; wrap HTTP traffic with "
                 "repro.simnet.ocsp_service(responder)")
-        request_der = bytes(request_der)
-        entry = self._responses.get(request_der)
-        if entry is None:
-            try:
-                ocsp_request = OCSPRequest.from_der(request_der)
-            except (ASN1Error, ValueError):
-                return self._error_artifact(ResponseStatus.MALFORMED_REQUEST)
-            if not _within_caps(ocsp_request):
-                return self._error_artifact(ResponseStatus.MALFORMED_REQUEST)
-            if len(self._responses) >= _RESPONSE_CACHE_CAP:
-                self._responses.pop(next(iter(self._responses)))
-            entry = self._responses[request_der] = [ocsp_request, None, None]
+        try:
+            entry = self._responses.lookup(bytes(request_der), _cache_entry)
+        except (ASN1Error, ValueError):
+            return self._error_artifact(ResponseStatus.MALFORMED_REQUEST)
 
         if self.profile.always_try_later:
             return self._error_artifact(ResponseStatus.TRY_LATER)
@@ -185,7 +179,7 @@ class OCSPResponder:
         server over this responder stored can reach its answers.
         """
         twin = copy.copy(self)
-        twin._responses = {}
+        twin._responses = BoundedMemo(self._responses.cap)
         twin.cache_hits = twin.cache_misses = 0
         return twin
 

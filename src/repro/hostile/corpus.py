@@ -38,6 +38,7 @@ from ..lint.engine import (
     LintEngine,
 )
 from ..lint.findings import Severity
+from ..memo import BoundedMemo
 from ..ocsp import CertID, OCSPRequest
 from ..ocsp.verify import verify_response
 from ..simnet.clock import DAY, MEASUREMENT_START
@@ -84,13 +85,14 @@ class SeedWorld:
 
 #: Per-process memo — shard workers re-enter with the same reference
 #: time, and 512-bit keygen is the expensive part.
-_SEED_MEMO: Dict[int, SeedWorld] = {}
+_SEED_MEMO: BoundedMemo[int, SeedWorld] = BoundedMemo(4)
 
 def seed_world(reference_time: int = DEFAULT_REFERENCE_TIME) -> SeedWorld:
     """Mint (once per process) the canonical seed documents."""
-    world = _SEED_MEMO.get(reference_time)
-    if world is not None:
-        return world
+    return _SEED_MEMO.lookup(reference_time, _mint_seed_world)
+
+
+def _mint_seed_world(reference_time: int) -> SeedWorld:
     pool = KeyPool(size=4, bits=512, seed=11)
     url = "http://ocsp.hostile.test"
     root = CertificateAuthority.create_root(
@@ -107,7 +109,7 @@ def seed_world(reference_time: int = DEFAULT_REFERENCE_TIME) -> SeedWorld:
     response_der = responder.handle(
         OCSPRequest.for_single(cert_id).encode(), reference_time).body
     crl = issuing.build_crl(reference_time)
-    world = SeedWorld(
+    return SeedWorld(
         reference_time=reference_time,
         documents={
             "certificate": leaf.der,
@@ -118,8 +120,6 @@ def seed_world(reference_time: int = DEFAULT_REFERENCE_TIME) -> SeedWorld:
         issuer=issuing.certificate,
         cert_id=cert_id,
     )
-    _SEED_MEMO[reference_time] = world  # repro: allow-effect[GLOBAL_MUTATION] -- memo keyed by the reference time; the same key always maps to the same seed documents
-    return world
 
 def _parse(kind: str, der: bytes):
     if kind == "certificate":

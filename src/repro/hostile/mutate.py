@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..asn1 import encoder, tags
 from ..canon import derived_rng
+from ..memo import BoundedMemo
 from .tlv import element_spans, encode_forest, parse_forest
 
 #: Mutation family names, in round-robin order.  Appending here is
@@ -142,23 +143,12 @@ def _build_index(document: bytes) -> _ElementIndex:
 
 #: Document bytes -> its :class:`_ElementIndex`.  A corpus mutates
 #: three seed documents, which are also the splice donors, so each is
-#: indexed once per process.  Entries are evicted oldest first.
-_INDEXES: Dict[bytes, _ElementIndex] = {}
-_INDEX_CAP = 16
+#: indexed once per process.  An index holds only bytes and tuples.
+_INDEXES: BoundedMemo[bytes, _ElementIndex] = BoundedMemo(16)
 
 
 def _index(document: bytes) -> _ElementIndex:
-    index = _INDEXES.get(document)
-    if index is None:
-        index = _build_index(document)
-        _remember_index(document, index)
-    return index
-
-
-def _remember_index(document: bytes, index: _ElementIndex) -> None:  # repro: allow-effect[GLOBAL_MUTATION] -- bounded memo of a pure function of its key; the index holds only bytes and tuples, shared read-only
-    if len(_INDEXES) >= _INDEX_CAP:
-        _INDEXES.pop(next(iter(_INDEXES)))
-    _INDEXES[document] = index
+    return _INDEXES.lookup(document, _build_index)
 
 
 def _replace(index: _ElementIndex, number: int, element: bytes) -> bytes:
@@ -321,31 +311,16 @@ _BOMB_DEPTH_MAX = 1999
 #: Body length -> :func:`_build_nest` of it.  The SEQUENCE headers of
 #: a depth bomb depend only on the length of what they wrap, so each
 #: seed document's nest is built once and every depth is a slice of
-#: it.  Entries are evicted oldest first; a corpus has three seeds.
-_NESTS: Dict[int, Tuple[bytes, Tuple[int, ...]]] = {}
-_NEST_CAP = 16
+#: it.  A corpus has three seeds.
+_NESTS: BoundedMemo[int, Tuple[bytes, Tuple[int, ...]]] = BoundedMemo(16)
 
 
 def _depth_bomb(document: bytes, rng: random.Random,
                 donors: Sequence[bytes]) -> bytes:
     """Bury the document under hundreds of nested SEQUENCEs."""
     depth = rng.randrange(200, _BOMB_DEPTH_MAX + 1)
-    blob, starts = _nest(len(document))
+    blob, starts = _NESTS.lookup(len(document), _build_nest)
     return blob[starts[depth]:] + document
-
-
-def _nest(body_len: int) -> Tuple[bytes, Tuple[int, ...]]:
-    nest = _NESTS.get(body_len)
-    if nest is None:
-        nest = _build_nest(body_len)
-        _remember_nest(body_len, nest)
-    return nest
-
-
-def _remember_nest(body_len: int, nest: Tuple[bytes, Tuple[int, ...]]) -> None:  # repro: allow-effect[GLOBAL_MUTATION] -- bounded memo of a pure function of its key; a hit returns the bytes a rebuild would give
-    if len(_NESTS) >= _NEST_CAP:
-        _NESTS.pop(next(iter(_NESTS)))
-    _NESTS[body_len] = nest
 
 
 def _build_nest(body_len: int) -> Tuple[bytes, Tuple[int, ...]]:

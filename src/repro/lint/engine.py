@@ -16,7 +16,7 @@ run reproducible byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..asn1.errors import ASN1Error
 from ..ocsp import CertID
@@ -313,11 +313,3 @@ class LintEngine:
             raw = stream.read()
         return self.lint_blob(raw, source=path, kind=kind, context=context)
 
-    def lint_many(self, artifacts: Iterable[Tuple[str, bytes, str]],
-                  context: Optional[LintContext] = None) -> LintReport:
-        """Lint (kind, der, source) triples into one report."""
-        report = LintReport(reference_time=(context or self.context).reference_time)
-        for kind, der, source in artifacts:
-            report.artifacts += 1
-            report.extend(self.lint_der(der, kind, source, context))
-        return report.sort()

@@ -132,10 +132,6 @@ class LintReport:
             counts[finding.severity.label] += 1
         return counts
 
-    def fired_rules(self) -> List[str]:
-        """Sorted unique rule ids present in the report."""
-        return sorted({f.rule_id for f in self.findings})
-
     def render(self) -> str:
         """Multi-line human rendering."""
         lines = [finding.render() for finding in self.findings]

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Optional
+from typing import Optional
 
 from ..asn1.errors import ASN1Error
+from ..memo import BoundedMemo
 from ..x509 import Certificate
 from ..asn1 import oid as _oid
 from .certid import CertID
@@ -88,10 +89,9 @@ class OCSPCheckResult:
 #: ``(response bytes, lenient, cert_id, issuer DER)``.  A responder
 #: serves the same pre-signed bytes to every vantage point for a whole
 #: update epoch, so a scan re-verifies identical inputs many times.
-#: Entries are evicted oldest first; 64 keeps a cold Figure 3 campaign
-#: within one parse of its distinct responses.
-_VERDICTS: Dict[tuple, OCSPCheckResult] = {}
-_VERDICT_CAP = 64
+#: 64 keeps a cold Figure 3 campaign within one parse of its distinct
+#: responses.
+_VERDICTS: BoundedMemo[tuple, OCSPCheckResult] = BoundedMemo(64)
 
 
 def verify_response(response_der: bytes, cert_id: CertID, issuer: Certificate,
@@ -120,11 +120,9 @@ def verify_response(response_der: bytes, cert_id: CertID, issuer: Certificate,
     parsed ``response`` and ``single``, which callers must not mutate.
     """
     data = bytes(response_der)
-    key = (data, lenient, cert_id, issuer.der)
-    verdict = _VERDICTS.get(key)
-    if verdict is None:
-        verdict = _structural_verdict(data, cert_id, issuer, lenient)
-        _remember(key, verdict)
+    verdict = _VERDICTS.lookup(
+        (data, lenient, cert_id, issuer.der),
+        lambda _: _structural_verdict(data, cert_id, issuer, lenient))
     if not verdict.ok:
         return replace(verdict)
 
@@ -147,12 +145,6 @@ def verify_response(response_der: bytes, cert_id: CertID, issuer: Certificate,
         response_status=verdict.response_status,
         delegated=verdict.delegated,
     )
-
-
-def _remember(key: tuple, verdict: OCSPCheckResult) -> None:  # repro: allow-effect[GLOBAL_MUTATION] -- bounded memo of a pure function of its key; a hit returns a copy of the verdict a recomputation would give
-    if len(_VERDICTS) >= _VERDICT_CAP:
-        _VERDICTS.pop(next(iter(_VERDICTS)))
-    _VERDICTS[key] = verdict
 
 
 def _structural_verdict(data: bytes, cert_id: CertID, issuer: Certificate,

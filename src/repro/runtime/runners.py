@@ -27,6 +27,7 @@ import time
 from typing import Any, Dict, List
 
 from ..canon import stable_digest
+from ..memo import BoundedMemo
 from ..scanner.io import record_to_dict
 from .configs import (
     AlexaRunConfig,
@@ -53,15 +54,14 @@ from .sharding import (
 
 #: Per-process world memo: rebuilding a MeasurementWorld dominates
 #: small-shard cost, and every shard of one campaign shares a world.
-_WORLD_MEMO: Dict[str, Any] = {}
+_WORLD_MEMO: BoundedMemo[str, Any] = BoundedMemo(8)
 
 
 def _world_for(world_dict: Dict[str, Any]):
     from ..datasets.world import MeasurementWorld, WorldConfig
-    key = stable_digest(world_dict)
-    if key not in _WORLD_MEMO:
-        _WORLD_MEMO[key] = MeasurementWorld(WorldConfig.from_dict(world_dict))  # repro: allow-effect[GLOBAL_MUTATION] -- memo keyed by full config digest; same key always maps to the same value
-    return _WORLD_MEMO[key]
+    return _WORLD_MEMO.lookup(
+        stable_digest(world_dict),
+        lambda _: MeasurementWorld(WorldConfig.from_dict(world_dict)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..asn1 import ObjectIdentifier, Reader, oid
 from ..asn1.errors import DecodeError
 from ..crypto import RSAPublicKey, decode_spki, is_valid
+from ..memo import BoundedMemo
 from .extensions import Extensions
 from .name import Name
 
@@ -227,12 +228,11 @@ def _read_algorithm_identifier(sequence: Reader) -> ObjectIdentifier:
 
 #: Parsed certificates keyed by their DER.  The same few responder and
 #: CA certificates come back embedded in thousands of OCSP responses,
-#: so :func:`parse_certificate` parses each distinct DER once.  Entries
-#: are evicted oldest first; 1,024 is twice the largest reuse distance a
-#: paper-scale Figure 3 campaign shows (491 distinct insertions between
-#: a certificate's build and its last embedding; DESIGN.md section 5.1).
-_CERTIFICATES: Dict[bytes, Certificate] = {}
-_CERTIFICATE_CAP = 1024
+#: so :func:`parse_certificate` parses each distinct DER once.  1,024 is
+#: twice the largest reuse distance a paper-scale Figure 3 campaign
+#: shows (491 distinct insertions between a certificate's build and its
+#: last embedding; DESIGN.md section 5.1).
+_CERTIFICATES: BoundedMemo[bytes, Certificate] = BoundedMemo(1024)
 
 
 def parse_certificate(der: bytes) -> Certificate:
@@ -242,18 +242,7 @@ def parse_certificate(der: bytes) -> Certificate:
     by field to a fresh one.  Malformed input raises on every call and
     is never stored.  Lenient callers use ``Certificate.from_der``.
     """
-    data = bytes(der)
-    certificate = _CERTIFICATES.get(data)
-    if certificate is None:
-        certificate = Certificate.from_der(data)
-        _remember_certificate(data, certificate)
-    return certificate
-
-
-def _remember_certificate(der: bytes, certificate: Certificate) -> None:  # repro: allow-effect[GLOBAL_MUTATION] -- bounded memo of a pure parse; a hit returns the immutable Certificate a re-parse would equal
-    if len(_CERTIFICATES) >= _CERTIFICATE_CAP:
-        _CERTIFICATES.pop(next(iter(_CERTIFICATES)))
-    _CERTIFICATES[der] = certificate
+    return _CERTIFICATES.lookup(bytes(der), Certificate.from_der)
 
 
 def parse_certificate_chain(der_blobs: List[bytes]) -> List[Certificate]:

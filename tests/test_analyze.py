@@ -15,10 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from repro import memo as memo_module
 from repro.analyze import analyze_package, analyze_tree, contract_table, graph_dump
 from repro.analyze.effects import (
     ATTR_CALL_INDEX,
     GLOBAL_RNG_FUNCS,
+    MEMO_GRANT,
     Effect,
     banned_attr_call_messages,
     parse_pragmas,
@@ -419,6 +421,87 @@ def test_pragma_only_grants_named_effects(tmp_path):
     analysis = analyze_tree(root)
     result = contract_for(analysis, "fixpkg.runners:run_mixed")
     assert {v.effect for v in result.violations} == {Effect.OS_ENTROPY}
+
+
+# ---------------------------------------------------------------------------
+# the bounded memo rule
+# ---------------------------------------------------------------------------
+
+MEMO_SOURCE = Path(memo_module.__file__).read_text()
+
+
+def memo_tree(tmp_path, runner_source, ref):
+    return write_tree(tmp_path, {
+        "core/experiments.py": REGISTRY.format(ref=ref),
+        "memo.py": MEMO_SOURCE,
+        "runners.py": runner_source,
+    })
+
+
+@pytest.mark.parametrize("binding", [
+    "_SQUARES = BoundedMemo(4)",
+    "_SQUARES: BoundedMemo[int, int] = BoundedMemo(4)",
+])
+def test_module_memo_fill_is_allowed_not_unseen(tmp_path, binding):
+    """A module-level memo needs no pragma, yet its fill is listed."""
+    root = memo_tree(tmp_path, (
+        "from .memo import BoundedMemo\n"
+        f"{binding}\n"
+        "def _square(n):\n"
+        "    return n * n\n"
+        "def run_memo(config):\n"
+        "    return _SQUARES.lookup(config, _square)\n"
+    ), "fixpkg.runners:run_memo")
+    analysis = analyze_tree(root)
+    result = contract_for(analysis, "fixpkg.runners:run_memo")
+    assert result.ok
+    assert [(a.site.effect, a.site.code, a.pragma) for a in result.allowed] \
+        == [(Effect.GLOBAL_MUTATION, "_SQUARES.lookup()", MEMO_GRANT)]
+    assert analysis.ok
+
+
+@pytest.mark.parametrize("binding, fill", [
+    ("_SQUARES = {}", "_SQUARES[config] = config * config"),
+    ("_SQUARES = {}", "_SQUARES.setdefault(config, config * config)"),
+    ("_SQUARES = BoundedMemo(4)", "_SQUARES._entries[config] = config"),
+    ("_SQUARES = BoundedMemo(4)", "_SQUARES._entries.pop(config)"),
+])
+def test_other_module_level_fills_are_findings(tmp_path, binding, fill):
+    """The memo grant covers calls on a memo, nothing else: a plain
+    dict fill, or a write past the memo's methods, stays impure."""
+    root = memo_tree(tmp_path, (
+        "from .memo import BoundedMemo\n"
+        f"{binding}\n"
+        "def run_fill(config):\n"
+        f"    {fill}\n"
+    ), "fixpkg.runners:run_fill")
+    analysis = analyze_tree(root)
+    result = contract_for(analysis, "fixpkg.runners:run_fill")
+    assert [v.effect for v in result.violations] == [Effect.GLOBAL_MUTATION]
+    assert not result.allowed
+    assert [f.rule_id for f in analysis.report.findings] == \
+        ["ANALYZE_IMPURE_CONTRACT"]
+
+
+def test_instance_owned_memo_is_no_global_mutation(tmp_path):
+    """Like the OCSP responder's cache: state of an object the caller
+    holds, so no GLOBAL_MUTATION at all, allowed or not."""
+    root = memo_tree(tmp_path, (
+        "from .memo import BoundedMemo\n"
+        "class Responder:\n"
+        "    def __init__(self):\n"
+        "        self._responses = BoundedMemo(4)\n"
+        "    def handle(self, request):\n"
+        "        return self._responses.lookup(request, len)\n"
+        "def run_owned(config):\n"
+        "    return Responder().handle(config)\n"
+    ), "fixpkg.runners:run_owned")
+    analysis = analyze_tree(root)
+    result = contract_for(analysis, "fixpkg.runners:run_owned")
+    assert result.ok and not result.allowed
+    assert Effect.GLOBAL_MUTATION not in effects_of(
+        analysis, "fixpkg.runners:Responder.handle")
+    assert analysis.ok
 
 
 def test_broad_except_pragma_suppresses_warning(tmp_path):

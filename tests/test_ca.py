@@ -20,6 +20,7 @@ from repro.ca import (
 )
 from repro.ca.responder import MAX_CERT_IDS
 from repro.crypto import generate_keypair
+from repro.memo import BoundedMemo
 from repro.ocsp import (
     CertID,
     CertStatus,
@@ -448,9 +449,9 @@ class TestRequestMemo:
                                            "misses": 0}
 
     def test_bounded(self, authority, leaf, monkeypatch):
-        from repro.ca import responder as responder_module
-        monkeypatch.setattr(responder_module, "_RESPONSE_CACHE_CAP", 64)
         responder = make_responder(authority)
+        memo = BoundedMemo(64)
+        monkeypatch.setattr(responder, "_responses", memo)
         cert_id = CertID.for_certificate(leaf, authority.certificate)
         for serial in range(70):
             other = CertID(cert_id.hash_name, cert_id.issuer_name_hash,
@@ -460,6 +461,7 @@ class TestRequestMemo:
                                    other, authority.certificate, NOW).ok
             assert responder.cache_stats()["entries"] <= 64
         assert responder.cache_stats()["entries"] == 64
+        assert (memo.misses, memo.evictions) == (70, 6)
 
     def test_same_serial_other_issuer_answers_like_fresh(self, authority,
                                                          leaf):

@@ -11,6 +11,7 @@ length bomb must not allocate anywhere near the announced size.
 
 from __future__ import annotations
 
+import importlib
 import random
 import tracemalloc
 from typing import List, Sequence, Tuple
@@ -23,10 +24,8 @@ from repro.asn1.errors import LimitExceededError, TruncatedError
 from repro.hostile import FAMILIES, KINDS, mutate, seed_world, tlv_fixed_point
 from repro.hostile.corpus import _LINT_KIND, _parse
 from repro.hostile.mutate import (
-    _INDEX_CAP,
     _INDEXES,
     _MUTATORS,
-    _NEST_CAP,
     _NESTS,
     _depth_bomb,
     _index,
@@ -42,6 +41,7 @@ from repro.hostile.tlv import (
 )
 from repro.hostile.tlv import element_spans as tlv_element_spans
 from repro.lint import LintContext, LintEngine
+from repro.memo import BoundedMemo
 from repro.ocsp import OCSPResponse
 from repro.runtime import HostileCorpusConfig
 from repro.x509 import Certificate, CertificateList
@@ -204,7 +204,7 @@ def test_depth_bomb_matches_the_level_loop_at_every_depth(length):
         if depth >= 200:
             assert _depth_bomb(document, _FixedDepth(depth), ()) == body, \
                 (length, depth)
-    assert len(_NESTS) <= _NEST_CAP
+    assert len(_NESTS) <= _NESTS.cap
 
 
 @pytest.mark.parametrize("length", BOMB_BODY_LENGTHS)
@@ -217,10 +217,17 @@ def test_depth_bomb_draws_exactly_what_the_loop_drew(length):
         assert ours.getstate() == reference.getstate()
 
 
-def test_nest_memo_stays_under_its_cap():
-    for length in range(3 * _NEST_CAP):
+MUTATE_MODULE = importlib.import_module("repro.hostile.mutate")
+
+
+def test_nest_memo_stays_under_its_cap(monkeypatch):
+    memo = BoundedMemo(_NESTS.cap)
+    monkeypatch.setattr(MUTATE_MODULE, "_NESTS", memo)
+    for length in range(3 * memo.cap):
         _depth_bomb(bytes(length), random.Random(length), ())
-        assert len(_NESTS) <= _NEST_CAP
+        assert len(memo) <= memo.cap
+    assert (len(memo), memo.misses, memo.evictions) == \
+        (memo.cap, 3 * memo.cap, 2 * memo.cap)
 
 
 def _element(tag, content, long_form):
@@ -582,11 +589,15 @@ def test_index_mutators_match_the_tree_mutators(world, index_documents,
                     (family, name, seed)
 
 
-def test_index_memo_stays_under_its_cap():
-    for length in range(3 * _INDEX_CAP):
+def test_index_memo_stays_under_its_cap(monkeypatch):
+    memo = BoundedMemo(_INDEXES.cap)
+    monkeypatch.setattr(MUTATE_MODULE, "_INDEXES", memo)
+    for length in range(3 * memo.cap):
         _MUTATORS["truncate"](b"\x04" + bytes([length]) + bytes(length),
                               random.Random(length), ())
-        assert len(_INDEXES) <= _INDEX_CAP
+        assert len(memo) <= memo.cap
+    assert (len(memo), memo.misses, memo.evictions) == \
+        (memo.cap, 3 * memo.cap, 2 * memo.cap)
 
 
 def _nest(depth, innermost=encoder.encode_null()):

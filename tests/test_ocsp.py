@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.crypto import generate_keypair
+from repro.memo import BoundedMemo
 from repro.ocsp import (
     CertID,
     CertStatus,
@@ -303,7 +304,7 @@ class TestVerifyMemo:
 
     @pytest.fixture(autouse=True)
     def memo(self, monkeypatch):
-        memo = {}
+        memo = BoundedMemo(verify_module._VERDICTS.cap)
         monkeypatch.setattr(verify_module, "_VERDICTS", memo)
         return memo
 
@@ -361,10 +362,10 @@ class TestVerifyMemo:
 
     def test_bounded(self, setup, memo):
         _, ca, _, cert_id = setup
-        for index in range(verify_module._VERDICT_CAP + 6):
+        for index in range(memo.cap + 6):
             assert verify_response(b"0" + bytes([index]), cert_id, ca,
                                    NOW).error is OCSPError.MALFORMED
-        assert len(memo) == verify_module._VERDICT_CAP
+        assert len(memo) == memo.cap and memo.evictions == 6
 
     @pytest.mark.parametrize("case, expected", [
         ("malformed", OCSPError.MALFORMED),
@@ -373,7 +374,8 @@ class TestVerifyMemo:
         ("bad_signature", OCSPError.BAD_SIGNATURE),
         ("delegated_ok", None),
     ])
-    def test_hit_equals_cold_call(self, setup, memo, case, expected):
+    def test_hit_equals_cold_call(self, setup, memo, monkeypatch, case,
+                                  expected):
         ca_key, ca, _, cert_id = setup
         if case == "malformed":
             der = good_response(setup)[:-7]
@@ -405,9 +407,10 @@ class TestVerifyMemo:
 
         cold = verify_response(der, cert_id, ca, NOW)
         hit = verify_response(der, cert_id, ca, NOW)
-        memo.clear()
+        assert (len(memo), memo.misses, memo.hits) == (1, 1, 1)
+        monkeypatch.setattr(verify_module, "_VERDICTS",
+                            BoundedMemo(memo.cap))
         recomputed = verify_response(der, cert_id, ca, NOW)
-        assert len(memo) == 1
         assert hit is not cold
         for field in dataclasses.fields(OCSPCheckResult):
             assert getattr(hit, field.name) == getattr(cold, field.name) \

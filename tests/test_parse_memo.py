@@ -16,6 +16,7 @@ from repro.asn1 import decoder as decoder_module
 from repro.asn1.errors import ASN1Error, DecodeError, StrictDERError
 from repro.crypto import generate_keypair
 from repro.lint.provenance import certificate_spans
+from repro.memo import BoundedMemo
 from repro.simnet import DAY
 from repro.x509 import (
     Certificate,
@@ -49,18 +50,20 @@ def leaf():
 
 @pytest.fixture
 def certificates(monkeypatch):
-    """An empty certificate memo for one test (restored afterwards)."""
-    table = {}
-    monkeypatch.setattr(certificate_module, "_CERTIFICATES", table)
-    return table
+    """An empty certificate memo, at the module's cap, for one test
+    (restored afterwards)."""
+    memo = BoundedMemo(certificate_module._CERTIFICATES.cap)
+    monkeypatch.setattr(certificate_module, "_CERTIFICATES", memo)
+    return memo
 
 
 @pytest.fixture
 def oids(monkeypatch):
-    """An empty OID intern table for one test (restored afterwards)."""
-    table = {}
-    monkeypatch.setattr(decoder_module, "_OIDS", table)
-    return table
+    """An empty OID intern table, at the module's cap, for one test
+    (restored afterwards)."""
+    memo = BoundedMemo(decoder_module._OIDS.cap)
+    monkeypatch.setattr(decoder_module, "_OIDS", memo)
+    return memo
 
 
 def _fields(certificate):
@@ -150,7 +153,7 @@ class TestCertificateMemo:
         first = _error(lambda: parse_certificate(sloppy))
         assert first[0] is StrictDERError
         assert _error(lambda: parse_certificate(sloppy)) == first
-        assert certificates == {}
+        assert len(certificates) == 0
 
     def test_buffer_types_share_one_entry(self, leaf, certificates):
         first = parse_certificate(leaf.der)
@@ -166,16 +169,16 @@ class TestCertificateMemo:
         first = _error(lambda: parse_certificate(broken))
         assert _error(lambda: parse_certificate(broken)) == first
         assert first == _error(lambda: Certificate.from_der(broken))
-        assert certificates == {}
+        assert len(certificates) == 0
 
     def test_cap_holds_under_distinct_hostile_stream(self, leaf, certificates):
-        cap = certificate_module._CERTIFICATE_CAP
+        cap = certificates.cap
         for value in range(cap + 64):
             parse_certificate(_with_signature_tail(leaf.der, value))
             with pytest.raises(ASN1Error):
                 parse_certificate(leaf.der[:-(value % 50 + 1)])
             assert len(certificates) <= cap
-        assert len(certificates) == cap
+        assert len(certificates) == cap and certificates.evictions == 64
         # Oldest first: the first 64 were evicted, the newest kept.
         assert _with_signature_tail(leaf.der, 0) not in certificates
         assert _with_signature_tail(leaf.der, cap + 63) in certificates
@@ -229,7 +232,7 @@ class TestOidInterning:
         first = _error(lambda: Reader(der).read_oid())
         assert _error(lambda: Reader(der).read_oid()) == first
         assert message in first[1]
-        assert oids == {}
+        assert len(oids) == 0
 
     def test_accepted_content_is_canonical(self):
         # decode_content seeds the instance's encode cache with the input,
@@ -242,7 +245,7 @@ class TestOidInterning:
             assert ObjectIdentifier(decoded.arcs).encode_content() == content
 
     def test_cap_holds_under_distinct_hostile_stream(self, oids):
-        cap = decoder_module._OID_CAP
+        cap = oids.cap
         for value in range(cap + 100):
             Reader(_oid_der((1, 3, 6, 1, 4, 1, value))).read_oid()
             with pytest.raises(DecodeError):
@@ -250,7 +253,7 @@ class TestOidInterning:
                     tags.OBJECT_IDENTIFIER,
                     bytes([0x2b, 0x80, value % 0x80]))).read_oid()
             assert len(oids) <= cap
-        assert len(oids) == cap
+        assert len(oids) == cap and oids.evictions == 100
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ The byte-identity gates elsewhere compare one topology with another
 topology alike passes them.  This module pins the *content*: the
 rows/series/summary digests of the small-scale Figure 3 family, of
 the two chaos experiments and of the two other scan-shard consumers
-(``sec5-freshness``, ``monitor-convergence``; timings dropped), and of
-every hostile-corpus row, error attribution included, as recorded by ``tools/record_result_digests.py``.
+(``sec5-freshness``, ``monitor-convergence``; timings dropped), of the
+twelve standalone experiments, and of every hostile-corpus row, error attribution included, as recorded by ``tools/record_result_digests.py``.
 The same tool records ``tests/data/hostile/mutant_digests.json``, the
 digests of the hostile mutants' bytes themselves.
 """
@@ -84,10 +84,20 @@ def test_scan_consumer_digests_frozen():
                 f"{experiment_id} {part} drifted"
 
 
+def test_standalone_digests_frozen():
+    current = _recorder().standalone_digests()
+    assert set(current) == set(FROZEN["standalone"])
+    for experiment_id, parts in sorted(FROZEN["standalone"].items()):
+        for part, digest in sorted(parts.items()):
+            assert current[experiment_id][part] == digest, \
+                f"{experiment_id} {part} drifted"
+
+
 def test_frozen_file_is_complete():
     # A truncated freeze would make the checks above vacuous.
     recorder = _recorder()
     assert set(FROZEN["scan_family"]) == set(recorder.SCAN_FAMILY)
     assert set(FROZEN["chaos"]) == set(recorder.CHAOS)
     assert set(FROZEN["scan_consumers"]) == set(recorder.SCAN_CONSUMERS)
+    assert set(FROZEN["standalone"]) == set(recorder.STANDALONE)
     assert FROZEN["hostile_corpus"]["rows"]

@@ -15,7 +15,8 @@ a group digest even when the outcome counts stay the same.  For
 ``chaos-availability`` and ``chaos-client-outcomes`` (small scale) it
 holds the rows/series/summary digests, as for the scan family.  So it
 does for ``sec5-freshness`` and ``monitor-convergence`` (small scale),
-the two other experiments that merge scan shards.  The monitor's
+the two other experiments that merge scan shards, and for the twelve
+standalone experiments of :data:`STANDALONE`, each run alone.  The monitor's
 replay throughput (``duration_s``/``events_per_s`` in its throughput
 row, ``events_per_s``/``replay_duration_s`` in its summary) is a
 timing and is dropped before digesting.
@@ -69,6 +70,12 @@ CHAOS = ("chaos-availability", "chaos-client-outcomes")
 #: The other experiments that merge scan shards, each run alone
 #: without a cache.
 SCAN_CONSUMERS = ("sec5-freshness", "monitor-convergence")
+
+#: Experiments that share no shards with another, each run alone
+#: without a cache.  Their rows hold no timings.
+STANDALONE = ("sec4-deployment", "fig2", "tbl2", "fig11", "fig12", "tbl3",
+              "sec8-readiness", "ext-multistaple", "ext-attack-window",
+              "ext-alternatives", "abl-apache-patch", "abl-parser")
 
 
 def scan_family_digests(cache_dir: str) -> Dict[str, Dict[str, str]]:
@@ -125,18 +132,28 @@ def mutant_digests() -> Dict[str, Dict[str, str]]:
     return out
 
 
-def chaos_digests() -> Dict[str, Dict[str, str]]:
-    """rows/series/summary digests of the chaos experiments."""
+def uncached_digests(experiment_ids) -> Dict[str, Dict[str, str]]:
+    """rows/series/summary digests of each experiment, run alone."""
     from repro.canon import stable_digest
     from repro.runtime import run_experiment
 
     out = {}
-    for experiment_id in CHAOS:
+    for experiment_id in experiment_ids:
         result = run_experiment(experiment_id, workers=1, cache=False)
         out[experiment_id] = {"rows": stable_digest(result.rows),
                               "series": stable_digest(result.series),
                               "summary": stable_digest(result.summary)}
     return out
+
+
+def chaos_digests() -> Dict[str, Dict[str, str]]:
+    """rows/series/summary digests of the chaos experiments."""
+    return uncached_digests(CHAOS)
+
+
+def standalone_digests() -> Dict[str, Dict[str, str]]:
+    """rows/series/summary digests of the standalone experiments."""
+    return uncached_digests(STANDALONE)
 
 
 def _without(mapping: Dict[str, Any], *keys: str) -> Dict[str, Any]:
@@ -172,7 +189,8 @@ def compute() -> Dict[str, Any]:
         scan = scan_family_digests(cache)
     return {"scan_family": scan, "hostile_corpus": hostile_digests(),
             "chaos": chaos_digests(),
-            "scan_consumers": scan_consumer_digests()}
+            "scan_consumers": scan_consumer_digests(),
+            "standalone": standalone_digests()}
 
 
 def main(argv=None) -> int:
@@ -183,8 +201,9 @@ def main(argv=None) -> int:
     document = {
         "about": ("stable_digest of rows/series/summary for the small-scale "
                   "Figure 3 family (one shared cache), the chaos "
-                  "experiments and the other scan-shard consumers "
-                  "(timings dropped), and of every hostile-corpus row, grouped "
+                  "experiments, the other scan-shard consumers "
+                  "(timings dropped) and the standalone experiments, and "
+                  "of every hostile-corpus row, grouped "
                   "by kind/family; written by "
                   "tools/record_result_digests.py"),
         **compute(),
