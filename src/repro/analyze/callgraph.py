@@ -19,7 +19,9 @@ Resolution strategy — optimistic on the genuinely dynamic:
   resolves when ``world`` came from an annotated constructor/factory;
 * a method call on a module-level ``BoundedMemo`` is a global mutation
   allowed under :data:`~repro.analyze.effects.MEMO_GRANT`; any other
-  write to it, or to a plain module-level container, is a finding;
+  write to it, or to a plain module-level container, is a finding —
+  whether the function's own module assigns the name or imports it
+  from the module that does;
 * a function or method passed as a call *argument* conservatively
   creates a call edge (covers ``functools.partial``, ``map``, and
   registry dicts of callables);
@@ -133,6 +135,7 @@ class CallGraph:
         self.program = program
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
+        self._assigned: Dict[str, Dict[str, Optional[ast.expr]]] = {}
 
     # -- lookup helpers ------------------------------------------------------
 
@@ -171,6 +174,24 @@ class CallGraph:
                 out.setdefault(name, qual)
             stack.extend(info.bases)
         return sorted(out.values())
+
+    def assigned_names(self, module: Module
+                       ) -> Dict[str, Optional[ast.expr]]:
+        """*module*'s module-level assigned names -> the value last
+        assigned."""
+        names = self._assigned.get(module.name)
+        if names is None:
+            names = {}
+            for child in module.tree.body:
+                if isinstance(child, ast.Assign):
+                    for target in child.targets:
+                        if isinstance(target, ast.Name):
+                            names[target.id] = child.value
+                elif isinstance(child, ast.AnnAssign) and \
+                        isinstance(child.target, ast.Name):
+                    names[child.target.id] = child.value
+            self._assigned[module.name] = names
+        return names
 
     def resolve_entry(self, ref: str) -> Optional[Resolved]:
         """Resolve a ``module:name`` entrypoint ref to a program node.
@@ -395,7 +416,6 @@ class _Linker:
         self.info = info
         self.env: Dict[str, str] = {}   # local name -> class qualname
         self._shadowed: Optional[Set[str]] = None
-        self._module_names: Optional[Dict[str, Optional[ast.expr]]] = None
 
     # -- name resolution -----------------------------------------------------
 
@@ -791,35 +811,45 @@ class _Linker:
             self._shadowed = names
         return self._shadowed
 
-    def _module_level_names(self) -> Dict[str, Optional[ast.expr]]:
-        """Module-level assigned names -> the value last assigned."""
-        if self._module_names is None:
-            names: Dict[str, Optional[ast.expr]] = {}
-            for child in self.module.tree.body:
-                if isinstance(child, ast.Assign):
-                    for target in child.targets:
-                        if isinstance(target, ast.Name):
-                            names[target.id] = child.value
-                elif isinstance(child, ast.AnnAssign) and \
-                        isinstance(child.target, ast.Name):
-                    names[child.target.id] = child.value
-            self._module_names = names
-        return self._module_names
+    def _global_source(self, name: str) -> Optional[Tuple[Module, str]]:
+        """The module-level assignment *name* denotes here, as (defining
+        module, name there): this module's own, or the one an import
+        binds through any re-export chain."""
+        binding = self._scoped_import(name)
+        if binding is None:
+            if name in self._enclosing_locals():
+                return None
+            if name in self.graph.assigned_names(self.module):
+                return self.module, name
+            binding = self.module.bindings.get(name)
+        if binding is None or binding.external or binding.attr is None:
+            return None
+        resolved = chase_reexport(self.graph.program, binding)
+        if resolved is None or resolved.attr is None:
+            return None
+        target = self.graph.program.module(resolved.module)
+        if target is None or \
+                resolved.attr not in self.graph.assigned_names(target):
+            return None
+        return target, resolved.attr
 
-    def _is_memo(self, name: str) -> bool:
-        """Is module-level *name* bound to a ``BoundedMemo(...)`` call?"""
-        value = self._module_level_names()[name]
-        return isinstance(value, ast.Call) and \
-            self.resolve_callable(value.func) == (
-                "class", f"{self.graph.program.package}.memo:BoundedMemo")
+    def _is_memo(self, module: Module, name: str) -> bool:
+        """Is *module*'s module-level *name* bound to a
+        ``BoundedMemo(...)`` call?"""
+        value = self.graph.assigned_names(module)[name]
+        if not isinstance(value, ast.Call):
+            return False
+        linker = _Linker(self.graph, module,
+                         self.graph.functions[f"{module.name}:<module>"])
+        return linker.resolve_callable(value.func) == (
+            "class", f"{self.graph.program.package}.memo:BoundedMemo")
 
     def _check_global_mutation(self, node: ast.AST) -> None:
         def is_global_base(expr: ast.AST) -> Optional[str]:
             while isinstance(expr, (ast.Subscript, ast.Attribute)):
                 expr = expr.value
             if isinstance(expr, ast.Name) and \
-                    expr.id not in self._enclosing_locals() and \
-                    expr.id in self._module_level_names():
+                    self._global_source(expr.id) is not None:
                 return expr.id
             return None
 
@@ -843,7 +873,8 @@ class _Linker:
             if name is None:
                 return
             code = f"{name}.{node.func.attr}()"
-            if isinstance(node.func.value, ast.Name) and self._is_memo(name):
+            if isinstance(node.func.value, ast.Name) and \
+                    self._is_memo(*self._global_source(name)):
                 self.info.allowed.append((EffectSite(
                     Effect.GLOBAL_MUTATION, node.lineno, code,
                     GLOBAL_MUTATION_MESSAGE), MEMO_GRANT))

@@ -19,7 +19,6 @@ from .keys import (
     decode_spki,
     encode_rsa_public_key,
     encode_spki,
-    shared_pool,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "generate_prime",
     "is_probable_prime",
     "is_valid",
-    "shared_pool",
     "sign",
     "verify",
 ]

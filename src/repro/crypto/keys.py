@@ -13,7 +13,7 @@ the real-world key sharing the authors' earlier CCS'16 paper measured.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..asn1 import Reader, UnsupportedAlgorithmError, encoder, oid
 from .rsa import RSAPrivateKey, RSAPublicKey, generate_keypair
@@ -95,16 +95,3 @@ class KeyPool:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-
-_shared_pools: Dict[tuple, KeyPool] = {}
-
-
-def shared_pool(size: int = 32, bits: int = 512, seed: int = 0) -> KeyPool:
-    """Return a process-wide memoized pool (tests and examples share keys)."""
-    key = (size, bits, seed)
-    pool = _shared_pools.get(key)
-    if pool is None:
-        pool = KeyPool(size=size, bits=bits, seed=seed)
-        _shared_pools[key] = pool
-    return pool

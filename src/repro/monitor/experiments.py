@@ -1,126 +1,79 @@
 """The ``monitor-convergence`` experiment: shard-level reducer merges.
 
-Two shard kinds over one scan campaign's event log:
+One scan campaign feeds both sides.  The runner executes the
+campaign's own scan shards (the ones ``fig3`` runs, so a shared cache
+serves them) and reads their rows twice:
 
-* **reduce shards** (pure) — each takes a contiguous target range,
-  regenerates that slice of the scan deterministically (the same
-  worker the figure campaigns use), turns the rows into probe events
-  with their global ``(ts, ti, vi)`` ordinals, and returns the
-  *reducer states* — so what travels between workers and through the
-  artifact cache is exactly the mergeable algebra, not raw rows;
-* **one throughput shard** (WALL_CLOCK-pragma'd, like the other
-  timing shards) — builds the full event log once and times a
-  single-partition replay through every stock reducer, emitting
-  events/sec.  Timing columns are measurements: cached rows keep the
-  numbers of the run that produced them.
+* the **stream side** orders the rows by their global ``(ts, ti, vi)``
+  coordinates, slices them by target index into ``partitions``
+  contiguous ranges, turns each slice into probe events and reduces it
+  to its *reducer states*;
+* the **batch side** merges the same rows into the scan dataset
+  exactly as the figure campaigns do, and analyzes it with
+  :func:`~repro.core.availability.analyze_availability`.
 
-The runner merges the shard states **in both fold directions**,
-finalizes, and compares digests against the batch pipeline
-(:func:`~repro.core.availability.analyze_availability` over the
-deterministically merged dataset).  ``summary["converged"]`` is the
-acceptance bit CI gates on.
+The runner merges the partition states **in both fold directions**,
+finalizes, and compares digests against the batch report.
+``summary["converged"]`` is the acceptance bit CI gates on.  Rows hold
+the partition states only; the replay rate is a measurement, taken by
+:func:`repro.monitor.replay.replay_rate` in the bench tooling, never a
+row.
 """
 
 from __future__ import annotations
 
-import time
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Any, Dict, List
 
 from ..canon import split_ranges
 
-_WORKERS = "repro.monitor.experiments"
 
-
-def _campaign_rows(campaign: Dict[str, Any], lo: int,
-                   hi: int) -> List[Dict[str, Any]]:
-    """One target range's scan rows (the figure campaigns' worker)."""
-    from ..runtime.runners import scan_shard
-    return scan_shard({"campaign": campaign, "lo": lo, "hi": hi})
-
-
-def monitor_reduce_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Reduce one partition of the event log to its reducer states."""
+def _state_rows(config, outputs) -> List[Dict[str, Any]]:
+    """One ``state`` row per (partition, reducer) over the scan rows."""
     from .reducers import default_reducers
     from .replay import rows_to_events
-    events = list(rows_to_events(_campaign_rows(
-        payload["campaign"], payload["lo"], payload["hi"])))
+    n_targets = (config.campaign.world.n_responders
+                 * config.campaign.world.certs_per_responder)
+    ranges = split_ranges(n_targets, config.partitions)
+    starts = [lo for lo, _ in ranges]
+    slices: List[List[Dict[str, Any]]] = [[] for _ in ranges]
+    ordered = sorted((row for shard_rows in outputs for row in shard_rows),
+                     key=itemgetter("ts", "ti", "vi"))
+    for row in ordered:
+        slices[bisect_right(starts, row["ti"]) - 1].append(row)
+    reducers = sorted(default_reducers().items())
     rows: List[Dict[str, Any]] = []
-    for name, reducer in sorted(default_reducers().items()):
-        rows.append({"kind": "state", "reducer": name,
-                     "lo": payload["lo"], "hi": payload["hi"],
-                     "events": len(events),
-                     "state": reducer.reduce(events)})
+    for (lo, hi), scan_rows in zip(ranges, slices):
+        events = list(rows_to_events(scan_rows))
+        for name, reducer in reducers:
+            rows.append({"kind": "state", "reducer": name,
+                         "lo": lo, "hi": hi, "events": len(events),
+                         "state": reducer.reduce(events)})
     return rows
 
 
-def monitor_throughput_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:  # repro: allow-effect[WALL_CLOCK] -- replay throughput is a measurement, not deterministic content
-    """Time one full-log replay through every stock reducer."""
-    from .reducers import default_reducers
-    from .replay import rows_to_events
-    campaign = payload["campaign"]
-    n_targets = (campaign["world"]["n_responders"]
-                 * campaign["world"]["certs_per_responder"])
-    events = list(rows_to_events(_campaign_rows(campaign, 0, n_targets)))
-    reducers = default_reducers()
-    started = time.perf_counter()
-    states = {name: reducer.init() for name, reducer in reducers.items()}
-    for event in events:
-        for name, reducer in reducers.items():
-            if event.kind in reducer.kinds:
-                states[name] = reducer.step(states[name], event)
-    duration = time.perf_counter() - started
-    return [{
-        "kind": "throughput",
-        "events": len(events),
-        "reducers": len(reducers),
-        "duration_s": round(duration, 6),
-        "events_per_s": round(len(events) / duration, 1)
-        if duration else 0.0,
-    }]
-
-
-def monitor_shards(config) -> List:
-    """Reduce shards over target ranges plus one throughput shard."""
-    from ..runtime.executor import ShardSpec
-    campaign = config.campaign.to_dict()
-    n_targets = (config.campaign.world.n_responders
-                 * config.campaign.world.certs_per_responder)
-    shards = [
-        ShardSpec(worker=f"{_WORKERS}:monitor_reduce_shard",
-                  payload={"campaign": campaign, "lo": lo, "hi": hi},
-                  label=f"monitor-reduce[{lo}:{hi}]")
-        for lo, hi in split_ranges(n_targets, config.partitions)
-    ]
-    shards.append(
-        ShardSpec(worker=f"{_WORKERS}:monitor_throughput_shard",
-                  payload={"campaign": campaign},
-                  label="monitor-throughput"))
-    return shards
-
-
 def run_monitor_convergence(ctx, config) -> Dict[str, Any]:
-    """Fan out the reducer shards; prove stream == batch, both folds."""
+    """Reduce the campaign's scan rows in partitions; prove stream ==
+    batch, both folds."""
     from ..canon import stable_digest
     from ..core.availability import analyze_availability
-    from ..runtime.runners import merged_scan
+    from ..runtime.sharding import merge_scan_rows, scan_shards
     from .reducers import default_reducers
     from .replay import merge_states
 
-    outputs = ctx.run_shards(monitor_shards(config))
-    rows = [row for shard_rows in outputs for row in shard_rows]
-    throughput = next(row for row in rows if row["kind"] == "throughput")
+    outputs = ctx.run_shards(scan_shards(config.campaign))
+    rows = _state_rows(config, outputs)
     states_by_reducer: Dict[str, List[Dict[str, Any]]] = {}
     for row in rows:
-        if row["kind"] == "state":
-            states_by_reducer.setdefault(row["reducer"], []).append(row)
+        states_by_reducer.setdefault(row["reducer"], []).append(row)
 
     reducers = default_reducers()
     finals: Dict[str, Any] = {}
     fold_digests: Dict[str, Dict[str, str]] = {}
     for name, state_rows in sorted(states_by_reducer.items()):
         reducer = reducers[name]
-        ordered = sorted(state_rows, key=lambda row: row["lo"])
-        states = [row["state"] for row in ordered]
+        states = [row["state"] for row in state_rows]
         forward = merge_states(reducer, states)
         backward = merge_states(reducer, list(reversed(states)))
         finals[name] = reducer.finalize(forward)
@@ -129,10 +82,9 @@ def run_monitor_convergence(ctx, config) -> Dict[str, Any]:
             "backward": stable_digest(reducer.finalize(backward)),
         }
 
-    # The batch side: the deterministic dataset merge the figures use
-    # (cache-shared with fig3 for the same campaign), analyzed by the
-    # one-partition replay that core.availability now is.
-    dataset = merged_scan(ctx, config.campaign)
+    # The batch side: the deterministic dataset merge the figures use,
+    # analyzed by the one-partition replay that core.availability is.
+    dataset = merge_scan_rows(config.campaign, outputs)
     batch_report = analyze_availability(dataset)
     batch_digest = stable_digest(batch_report)
     stream_digest = fold_digests["availability"]["forward"]
@@ -142,28 +94,23 @@ def run_monitor_convergence(ctx, config) -> Dict[str, Any]:
 
     availability = finals["availability"]
     response_stats = finals["response-stats"]
-    events = sum(row["events"] for row in rows
-                 if row["kind"] == "state"
-                 and row["reducer"] == "availability")
+    partitions = states_by_reducer["availability"]
     series = {
         "success_series": dict(availability.success_series),
         "events_by_partition": [
             (f"[{row['lo']}:{row['hi']})", row["events"])
-            for row in sorted(states_by_reducer["availability"],
-                              key=lambda row: row["lo"])],
+            for row in partitions],
     }
     return {
         "rows": rows,
         "series": series,
         "summary": {
-            "events": events,
+            "events": sum(row["events"] for row in partitions),
             "partitions": config.partitions,
             "converged": converged,
             "merge_commutes": merge_commutes,
             "batch_digest": batch_digest,
             "stream_digest": stream_digest,
-            "events_per_s": throughput["events_per_s"],
-            "replay_duration_s": throughput["duration_s"],
             "responders": availability.responder_count,
             "overall_failure_rate": availability.overall_failure_rate,
             "outage_fraction": availability.outage_fraction,

@@ -24,6 +24,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 from .events import MonitorEvent
 from .reducers import AvailabilityReducer, Reducer, default_reducers
 
+#: Timed passes behind :func:`replay_rate`; the median damps the
+#: scheduler noise a single pass carries.
+_REPLAY_PASSES = 5
+
 
 # ---------------------------------------------------------------------------
 # event producers
@@ -119,6 +123,25 @@ def reduce_log(events: Iterable[MonitorEvent],
             if event.kind in reducer.kinds:
                 states[name] = reducer.step(states[name], event)
     return states
+
+
+def replay_rate(events: Iterable[MonitorEvent]) -> float:
+    """Events per second through every stock reducer, one partition.
+
+    The median of five timed replays.  A measurement, not a result: no
+    runner or shard calls it, so it never reaches rows or the cache;
+    the bench tooling takes it over a finished run's dataset.
+    """
+    import time
+    events = list(events)
+    reducers = default_reducers()
+    durations = []
+    for _ in range(_REPLAY_PASSES):
+        started = time.perf_counter()
+        reduce_log(events, reducers)
+        durations.append(time.perf_counter() - started)
+    duration = sorted(durations)[_REPLAY_PASSES // 2]
+    return round(len(events) / duration, 1) if duration else 0.0
 
 
 def partition_events(events: Iterable[MonitorEvent], partitions: int,

@@ -202,18 +202,20 @@ class ServeLoadTestConfig(FieldCodec):
 
 @dataclass
 class MonitorConvergenceConfig(FieldCodec):
-    """Monitor convergence: shard-level reducer merges over one scan
-    campaign's event log vs. the batch pipeline (:mod:`repro.monitor`).
+    """Monitor convergence: reducer merges over one scan campaign's
+    event log vs. the batch pipeline (:mod:`repro.monitor`).
 
+    Both sides read the campaign's own scan shards, run once.
     ``partitions`` is deliberately independent of the campaign's
-    ``target_chunks``: the stream side slices the log differently than
-    the batch side shards the scan, so convergence is evidence about
-    the reducer algebra, not about sharing a partitioning.
+    ``target_chunks``: the stream side slices the rows into target
+    ranges other than the scan's shards, so convergence is evidence
+    about the reducer algebra, not about sharing a partitioning.
     """
 
     campaign: ScanCampaignConfig = field(
         default_factory=ScanCampaignConfig)
-    #: Event-log partition count (one reduce shard each).
+    #: Event-log partition count (contiguous target ranges, one set of
+    #: reducer states each).
     partitions: int = 5
 
 
@@ -316,9 +318,9 @@ def default_config(experiment_id: str, scale: Optional[object] = None):
             world=WorldConfig(n_responders=min(20, scale.n_responders),
                               certs_per_responder=2, seed=scale.seed))
     if experiment_id == "monitor-convergence":
-        # The same campaign as fig3 at this scale, so the batch side's
-        # scan shards come straight from the shared artifact cache;
-        # the stream side re-reduces the log in 5 partitions.
+        # The same campaign as fig3 at this scale, so its scan shards
+        # come straight from the shared artifact cache; the stream side
+        # reduces their rows in 5 partitions.
         return MonitorConvergenceConfig(campaign=campaign)
     if experiment_id in ("tbl2", "tbl3", "fig12", "ext-multistaple",
                          "ext-alternatives", "abl-apache-patch",

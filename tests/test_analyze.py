@@ -483,6 +483,55 @@ def test_other_module_level_fills_are_findings(tmp_path, binding, fill):
         ["ANALYZE_IMPURE_CONTRACT"]
 
 
+@pytest.mark.parametrize("runner", [
+    "from .state import STATE\n"
+    "def run_fill(config):\n"
+    "    STATE.setdefault(config, 1)\n"
+    "    STATE[config] = 2\n",
+    # through a re-export, imported in the runner's body
+    "def run_fill(config):\n"
+    "    from .api import STATE\n"
+    "    STATE.setdefault(config, 1)\n"
+    "    STATE[config] = 2\n",
+], ids=["module-import", "body-import-reexport"])
+def test_imported_container_fill_is_a_finding(tmp_path, runner):
+    """A container another module assigns is as global as one the
+    runner's own module assigns."""
+    root = write_tree(tmp_path, {
+        "core/experiments.py": REGISTRY.format(
+            ref="fixpkg.runners:run_fill"),
+        "state.py": "STATE = {}\n",
+        "api/__init__.py": "from ..state import STATE\n",
+        "runners.py": runner,
+    })
+    analysis = analyze_tree(root)
+    result = contract_for(analysis, "fixpkg.runners:run_fill")
+    assert [v.effect for v in result.violations] == [Effect.GLOBAL_MUTATION]
+    sites = analysis.graph.functions["fixpkg.runners:run_fill"].effects
+    assert sorted(site.code for site in sites) \
+        == ["STATE.setdefault()", "STATE[...] ="]
+
+
+def test_imported_memo_fill_is_allowed(tmp_path):
+    """A memo imported by name is granted like one assigned in place."""
+    root = write_tree(tmp_path, {
+        "core/experiments.py": REGISTRY.format(
+            ref="fixpkg.runners:run_memo"),
+        "memo.py": MEMO_SOURCE,
+        "state.py": ("from .memo import BoundedMemo\n"
+                     "SQUARES = BoundedMemo(4)\n"),
+        "runners.py": ("from .state import SQUARES\n"
+                       "def run_memo(config):\n"
+                       "    return SQUARES.lookup(config, len)\n"),
+    })
+    analysis = analyze_tree(root)
+    result = contract_for(analysis, "fixpkg.runners:run_memo")
+    assert result.ok
+    assert [(a.site.effect, a.site.code, a.pragma) for a in result.allowed] \
+        == [(Effect.GLOBAL_MUTATION, "SQUARES.lookup()", MEMO_GRANT)]
+    assert analysis.ok
+
+
 def test_instance_owned_memo_is_no_global_mutation(tmp_path):
     """Like the OCSP responder's cache: state of an object the caller
     holds, so no GLOBAL_MUTATION at all, allowed or not."""

@@ -18,7 +18,6 @@ from repro.crypto import (
     generate_prime,
     is_probable_prime,
     is_valid,
-    shared_pool,
     sign,
     verify,
 )
@@ -281,10 +280,6 @@ class TestKeyPool:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             KeyPool(size=0)
-
-    def test_shared_pool_memoized(self):
-        assert shared_pool(4, 512, 77) is shared_pool(4, 512, 77)
-        assert shared_pool(4, 512, 77) is not shared_pool(4, 512, 78)
 
     def test_deterministic_across_instances(self):
         assert KeyPool(size=2, seed=5).take().n == KeyPool(size=2, seed=5).take().n

@@ -4,9 +4,12 @@ The byte-identity gates elsewhere compare one topology with another
 (serial == parallel, pipe == socket); a change that alters every
 topology alike passes them.  This module pins the *content*: the
 rows/series/summary digests of the small-scale Figure 3 family, of
-the two chaos experiments and of the two other scan-shard consumers
-(``sec5-freshness``, ``monitor-convergence``; timings dropped), of the
-twelve standalone experiments, and of every hostile-corpus row, error attribution included, as recorded by ``tools/record_result_digests.py``.
+``tbl1`` and ``fig10`` (one shared cache), of the two chaos
+experiments and of the two other scan-shard consumers
+(``sec5-freshness``, ``monitor-convergence``), of the twelve
+standalone experiments, and of every hostile-corpus row, error
+attribution included, as recorded by
+``tools/record_result_digests.py``.
 The same tool records ``tests/data/hostile/mutant_digests.json``, the
 digests of the hostile mutants' bytes themselves.
 """
@@ -33,14 +36,25 @@ def _recorder():
     return record_result_digests
 
 
-def test_scan_family_digests_frozen(tmp_path):
-    recorder = _recorder()
-    current = recorder.scan_family_digests(str(tmp_path / "cache"))
-    assert set(current) == set(FROZEN["scan_family"])
-    for experiment_id, parts in sorted(FROZEN["scan_family"].items()):
+def _check_frozen(section, current):
+    """Every experiment's rows/series/summary digest matches the file."""
+    assert set(current) == set(FROZEN[section])
+    for experiment_id, parts in sorted(FROZEN[section].items()):
         for part, digest in sorted(parts.items()):
             assert current[experiment_id][part] == digest, \
                 f"{experiment_id} {part} drifted"
+
+
+def test_scan_family_digests_frozen(tmp_path):
+    recorder = _recorder()
+    current = recorder.scan_family_digests(str(tmp_path / "cache"))
+    _check_frozen("scan_family", current)
+
+
+def test_consistency_digests_frozen(tmp_path):
+    recorder = _recorder()
+    current = recorder.consistency_digests(str(tmp_path / "cache"))
+    _check_frozen("consistency", current)
 
 
 def test_hostile_corpus_digests_frozen():
@@ -68,35 +82,24 @@ def test_mutant_digests_frozen():
 
 def test_chaos_digests_frozen():
     current = _recorder().chaos_digests()
-    assert set(current) == set(FROZEN["chaos"])
-    for experiment_id, parts in sorted(FROZEN["chaos"].items()):
-        for part, digest in sorted(parts.items()):
-            assert current[experiment_id][part] == digest, \
-                f"{experiment_id} {part} drifted"
+    _check_frozen("chaos", current)
 
 
 def test_scan_consumer_digests_frozen():
     current = _recorder().scan_consumer_digests()
-    assert set(current) == set(FROZEN["scan_consumers"])
-    for experiment_id, parts in sorted(FROZEN["scan_consumers"].items()):
-        for part, digest in sorted(parts.items()):
-            assert current[experiment_id][part] == digest, \
-                f"{experiment_id} {part} drifted"
+    _check_frozen("scan_consumers", current)
 
 
 def test_standalone_digests_frozen():
     current = _recorder().standalone_digests()
-    assert set(current) == set(FROZEN["standalone"])
-    for experiment_id, parts in sorted(FROZEN["standalone"].items()):
-        for part, digest in sorted(parts.items()):
-            assert current[experiment_id][part] == digest, \
-                f"{experiment_id} {part} drifted"
+    _check_frozen("standalone", current)
 
 
 def test_frozen_file_is_complete():
     # A truncated freeze would make the checks above vacuous.
     recorder = _recorder()
     assert set(FROZEN["scan_family"]) == set(recorder.SCAN_FAMILY)
+    assert set(FROZEN["consistency"]) == set(recorder.CONSISTENCY_FAMILY)
     assert set(FROZEN["chaos"]) == set(recorder.CHAOS)
     assert set(FROZEN["scan_consumers"]) == set(recorder.SCAN_CONSUMERS)
     assert set(FROZEN["standalone"]) == set(recorder.STANDALONE)

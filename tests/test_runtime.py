@@ -388,29 +388,28 @@ class TestResultShape:
         assert list(shard_lists(document)) == [".manifest.shards"]
 
     def test_record_spans_every_run_shards_call(self, tmp_path):
-        """monitor-convergence executes two shard batches (reducers,
-        then the scan campaign): the one record lists both, indexed
-        0..n-1 in spec order, with the scan batch restored from a
-        cache that fig3 filled."""
-        from repro.monitor.experiments import monitor_shards
-        from repro.runtime.sharding import scan_shards
-        config = MonitorConvergenceConfig(campaign=SMALL_CAMPAIGN,
-                                          partitions=2)
-        specs = monitor_shards(config) + scan_shards(SMALL_CAMPAIGN)
+        """An executor may run several shard batches: the one record
+        lists every batch, indexed 0..n-1 in spec order, with the scan
+        batch restored from a cache that fig3 filled."""
+        from repro.runtime.sharding import corpus_shards, scan_shards
+        corpus = corpus_shards(CorpusRunConfig(
+            corpus=CorpusConfig(size=8, seed=3), shards=2))
+        scan = scan_shards(SMALL_CAMPAIGN)
         run_experiment("fig3", config=SMALL_CAMPAIGN,
                        cache_dir=str(tmp_path))
-        result = run_experiment("monitor-convergence", config=config,
-                                cache_dir=str(tmp_path))
-        manifest = result.manifest
+        executor = SupervisedExecutor(
+            cache=ArtifactCache(root=str(tmp_path)))
+        executor.run_shards(corpus)
+        executor.run_shards(scan)
+        manifest = executor.manifest
+        specs = corpus + scan
         assert [s.index for s in manifest.shards] == list(range(len(specs)))
         assert [(s.label, s.key) for s in manifest.shards] \
             == [(spec.label, spec.key()) for spec in specs]
-        scan = len(scan_shards(SMALL_CAMPAIGN))
         assert [s.cached for s in manifest.shards] \
-            == [False] * (len(specs) - scan) + [True] * scan
+            == [False] * len(corpus) + [True] * len(scan)
         assert (manifest.cached, manifest.computed) \
-            == (scan, len(specs) - scan)
-        assert result.cache_status == "partial"
+            == (len(scan), len(corpus))
 
 
 class TestCLIRuntime:

@@ -7,19 +7,18 @@ Figure 3 family (``fig3``, ``fig5``-``fig9``, ``ext-response-size``)
 at small scale, the :func:`repro.canon.stable_digest` of its rows,
 series and summary.  The family shares one cache, so ``fig3`` runs
 cold and the rest restore its shards, exactly as a researcher's
-campaign does.  For ``hostile-corpus`` (default config) it holds one
-digest per ``(kind, family)`` group of rows, every field included
-(``error_class``, ``error_detail``, ``error_offset``), plus the digest
-of the summary: a decoder change that moves one error offset changes
-a group digest even when the outcome counts stay the same.  For
+campaign does.  ``tbl1`` and ``fig10`` read one consistency shard, so
+they share a cache the same way.  For ``hostile-corpus`` (default
+config) it holds one digest per ``(kind, family)`` group of rows,
+every field included (``error_class``, ``error_detail``,
+``error_offset``), plus the digest of the summary: a decoder change
+that moves one error offset changes a group digest even when the
+outcome counts stay the same.  For
 ``chaos-availability`` and ``chaos-client-outcomes`` (small scale) it
 holds the rows/series/summary digests, as for the scan family.  So it
 does for ``sec5-freshness`` and ``monitor-convergence`` (small scale),
 the two other experiments that merge scan shards, and for the twelve
-standalone experiments of :data:`STANDALONE`, each run alone.  The monitor's
-replay throughput (``duration_s``/``events_per_s`` in its throughput
-row, ``events_per_s``/``replay_duration_s`` in its summary) is a
-timing and is dropped before digesting.
+standalone experiments of :data:`STANDALONE`, each run alone.
 
 Timings, provenance and the run manifest are measurements, not
 results, so they are left out.
@@ -64,6 +63,10 @@ MUTANT_SEEDS = (2018, 2018 + 1_000_000)
 SCAN_FAMILY = ("fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
                "ext-response-size")
 
+#: The consistency pair: ``tbl1`` fills a shared cache with the one
+#: consistency shard and ``fig10`` restores it.
+CONSISTENCY_FAMILY = ("tbl1", "fig10")
+
 #: The fault-scenario sweeps, each run alone without a cache.
 CHAOS = ("chaos-availability", "chaos-client-outcomes")
 
@@ -78,19 +81,32 @@ STANDALONE = ("sec4-deployment", "fig2", "tbl2", "fig11", "fig12", "tbl3",
               "ext-alternatives", "abl-apache-patch", "abl-parser")
 
 
-def scan_family_digests(cache_dir: str) -> Dict[str, Dict[str, str]]:
-    """rows/series/summary digests of the scan family, one shared cache."""
+def shared_cache_digests(experiment_ids, cache_dir: str
+                         ) -> Dict[str, Dict[str, str]]:
+    """rows/series/summary digests of each experiment, in order, all on
+    one cache."""
     from repro.canon import stable_digest
     from repro.runtime import run_experiment
 
     out = {}
-    for experiment_id in SCAN_FAMILY:
+    for experiment_id in experiment_ids:
         result = run_experiment(experiment_id, workers=1,
                                 cache_dir=cache_dir)
         out[experiment_id] = {"rows": stable_digest(result.rows),
                               "series": stable_digest(result.series),
                               "summary": stable_digest(result.summary)}
     return out
+
+
+def scan_family_digests(cache_dir: str) -> Dict[str, Dict[str, str]]:
+    """rows/series/summary digests of the scan family, one shared cache."""
+    return shared_cache_digests(SCAN_FAMILY, cache_dir)
+
+
+def consistency_digests(cache_dir: str) -> Dict[str, Dict[str, str]]:
+    """rows/series/summary digests of ``tbl1`` and ``fig10``, one
+    shared cache."""
+    return shared_cache_digests(CONSISTENCY_FAMILY, cache_dir)
 
 
 def hostile_digests() -> Dict[str, Any]:
@@ -156,38 +172,20 @@ def standalone_digests() -> Dict[str, Dict[str, str]]:
     return uncached_digests(STANDALONE)
 
 
-def _without(mapping: Dict[str, Any], *keys: str) -> Dict[str, Any]:
-    return {key: value for key, value in mapping.items() if key not in keys}
-
-
 def scan_consumer_digests() -> Dict[str, Dict[str, str]]:
     """rows/series/summary digests of ``sec5-freshness`` and
-    ``monitor-convergence``, the monitor's replay timings dropped."""
-    from repro.canon import stable_digest
-    from repro.runtime import run_experiment
-
-    out = {}
-    for experiment_id in SCAN_CONSUMERS:
-        result = run_experiment(experiment_id, workers=1, cache=False)
-        rows, summary = result.rows, result.summary
-        if experiment_id == "monitor-convergence":
-            # Timings stored as rows; they go once the monitor reports
-            # its replay throughput outside its rows.
-            rows = [_without(row, "duration_s", "events_per_s")
-                    if row.get("kind") == "throughput" else row
-                    for row in rows]
-            summary = _without(summary, "events_per_s", "replay_duration_s")
-        out[experiment_id] = {"rows": stable_digest(rows),
-                              "series": stable_digest(result.series),
-                              "summary": stable_digest(summary)}
-    return out
+    ``monitor-convergence``."""
+    return uncached_digests(SCAN_CONSUMERS)
 
 
 def compute() -> Dict[str, Any]:
     """Every frozen digest, recomputed now."""
     with tempfile.TemporaryDirectory(prefix="result-digests-") as cache:
         scan = scan_family_digests(cache)
-    return {"scan_family": scan, "hostile_corpus": hostile_digests(),
+    with tempfile.TemporaryDirectory(prefix="result-digests-") as cache:
+        consistency = consistency_digests(cache)
+    return {"scan_family": scan, "consistency": consistency,
+            "hostile_corpus": hostile_digests(),
             "chaos": chaos_digests(),
             "scan_consumers": scan_consumer_digests(),
             "standalone": standalone_digests()}
@@ -200,9 +198,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     document = {
         "about": ("stable_digest of rows/series/summary for the small-scale "
-                  "Figure 3 family (one shared cache), the chaos "
-                  "experiments, the other scan-shard consumers "
-                  "(timings dropped) and the standalone experiments, and "
+                  "Figure 3 family (one shared cache), tbl1 and fig10 "
+                  "(one shared cache), the chaos experiments, the other "
+                  "scan-shard consumers and the standalone experiments, and "
                   "of every hostile-corpus row, grouped "
                   "by kind/family; written by "
                   "tools/record_result_digests.py"),
