@@ -6,7 +6,7 @@ topology alike passes them.  This module pins the *content*: the
 rows/series/summary digests of the small-scale Figure 3 family, of
 ``tbl1`` and ``fig10`` (one shared cache), of the two chaos
 experiments and of the two other scan-shard consumers
-(``sec5-freshness``, ``monitor-convergence``), of the twelve
+(``sec5-freshness``, ``monitor-convergence``), of the fifteen
 standalone experiments, and of every hostile-corpus row, error
 attribution included, as recorded by
 ``tools/record_result_digests.py``.

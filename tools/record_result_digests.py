@@ -17,7 +17,7 @@ outcome counts stay the same.  For
 ``chaos-availability`` and ``chaos-client-outcomes`` (small scale) it
 holds the rows/series/summary digests, as for the scan family.  So it
 does for ``sec5-freshness`` and ``monitor-convergence`` (small scale),
-the two other experiments that merge scan shards, and for the twelve
+the two other experiments that merge scan shards, and for the fifteen
 standalone experiments of :data:`STANDALONE`, each run alone.
 
 Timings, provenance and the run manifest are measurements, not
@@ -78,7 +78,8 @@ SCAN_CONSUMERS = ("sec5-freshness", "monitor-convergence")
 #: without a cache.  Their rows hold no timings.
 STANDALONE = ("sec4-deployment", "fig2", "tbl2", "fig11", "fig12", "tbl3",
               "sec8-readiness", "ext-multistaple", "ext-attack-window",
-              "ext-alternatives", "abl-apache-patch", "abl-parser")
+              "ext-alternatives", "abl-apache-patch", "abl-parser", "fig4",
+              "ext-latency", "ext-whatif")
 
 
 def shared_cache_digests(experiment_ids, cache_dir: str
