@@ -2,16 +2,18 @@
 
 Commands:
 
-* ``run``         — any registered experiment via the unified runtime
-* ``readiness``   — the Section-8 verdict across all principals
-* ``browsers``    — Table 2 (browser Must-Staple support)
-* ``servers``     — Table 3 (web server stapling conformance)
-* ``scan``        — run a measurement campaign, optionally save JSON-lines
-* ``analyze``     — availability + quality report over a saved scan
-* ``audit``       — the CRL↔OCSP consistency cross-check (Table 1 / Fig 10)
+* ``run``         — any registered experiment via the unified runtime;
+  for ``sec4-deployment``, ``tbl1``-``tbl3`` and ``sec8-readiness`` it
+  also prints the paper table
+* ``figures``     — write every paper artefact's data file
+* ``scan``        — run the Figure 3 campaign, save JSON-lines / events
+* ``analyze``     — availability + quality report over a scan, or the
+  whole-program effect & purity analyzer
 * ``experiments`` — the experiment registry (paper artefact → benchmark)
 * ``scenarios``   — the fault-scenario and client-policy catalogues
+* ``selftest``    — the Section-8 responder self-test harness
 * ``issue``       — mint a demo Must-Staple certificate chain as PEM
+* ``inspect``     — asn1parse-style dump of a PEM/DER file
 * ``lint``        — static conformance analysis of certificates/OCSP/CRLs
 * ``hostile``     — seeded structure-aware DER mutation (hostile corpus)
 * ``cache``       — artifact-cache maintenance (stats / verify / gc)
@@ -21,14 +23,18 @@ Commands:
 * ``worker``      — execute shards for a TCP coordinator
   (``--connect host:port``)
 
-Experiment-running commands share the runtime flags ``--workers``,
-``--cache-dir``, ``--no-cache``, and ``--seed``; everything funnels
-through :func:`repro.runtime.run_experiment`, whose supervised
-executor makes every run crash-tolerant and resumable.  ``run``
-additionally takes ``--allow-partial``, ``--shard-timeout`` and
-``--retries`` (supervision policy), and ``--transport socket
-[--listen HOST:PORT]`` to coordinate a fleet of ``repro worker``
-processes over TCP with no shared filesystem at all.
+Experiment-running commands (``run``, ``figures``, ``scan`` and
+``analyze``) share the runtime flags ``--scale``, ``--seed``,
+``--workers``, ``--cache-dir`` and ``--no-cache``.  Every paper table
+or figure the CLI prints or writes funnels through
+:func:`repro.runtime.run_experiment` on the experiment's default config
+at that scale, whose supervised executor makes every run
+crash-tolerant and resumable, and is rendered by
+:data:`repro.core.figures.ARTEFACTS`.  ``run`` additionally takes
+``--allow-partial``, ``--shard-timeout`` and ``--retries`` (supervision
+policy), and ``--transport socket [--listen HOST:PORT]`` to coordinate
+a fleet of ``repro worker`` processes over TCP with no shared
+filesystem at all.
 """
 
 from __future__ import annotations
@@ -50,6 +56,15 @@ def _seed(args: argparse.Namespace) -> int:
     return _DEFAULT_SEED
 
 
+def _scale(args: argparse.Namespace):
+    """The :class:`~repro.core.figures.FigureScale` that ``--scale``
+    names, seeded by ``--seed``."""
+    from .core.figures import FigureScale
+    scale = FigureScale.full() if args.scale == "full" else FigureScale.small()
+    scale.seed = _seed(args)
+    return scale
+
+
 def _runtime_kwargs(args: argparse.Namespace) -> dict:
     """The run_experiment() knobs shared by every runtime command."""
     return {
@@ -59,71 +74,14 @@ def _runtime_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_readiness(args: argparse.Namespace) -> int:
-    from .datasets import CorpusConfig, WorldConfig
-    from .runtime import ReadinessConfig, run_experiment
-    seed = _seed(args)
-    config = ReadinessConfig(
-        world=WorldConfig(n_responders=args.responders,
-                          certs_per_responder=1, seed=seed),
-        corpus=CorpusConfig(size=4_000, seed=seed),
-        scan_days=args.days, scan_interval=6 * HOUR)
-    result = run_experiment("sec8-readiness", config=config,
-                            **_runtime_kwargs(args))
-    print(result.artifacts["report"].render())
-    print(f"cache: {result.cache_status}", file=sys.stderr)
-    return 0
-
-
-def _cmd_browsers(args: argparse.Namespace) -> int:
-    from .browser import run_browser_tests
-    from .core import render_table
-    report = run_browser_tests()
-    rows = []
-    for row in report.rows:
-        cells = row.cells()
-        rows.append([row.policy.label, cells["Request OCSP response"],
-                     cells["Respect OCSP Must-Staple"],
-                     cells["Send own OCSP request"]])
-    print(render_table(
-        ["browser", "requests OCSP", "respects Must-Staple", "own OCSP request"],
-        rows, title="Table 2: browser Must-Staple support"))
-    return 0
-
-
-def _cmd_servers(args: argparse.Namespace) -> int:
-    from .core import render_table
-    from .webserver import (ApacheServer, EXPERIMENTS, IdealServer, NginxServer,
-                            run_conformance)
-    rows = []
-    for cls in (ApacheServer, NginxServer, IdealServer):
-        report = run_conformance(cls)
-        cells = report.as_row()
-        rows.append([report.software, *[cells[name] for name in EXPERIMENTS]])
-    print(render_table(["software", *EXPERIMENTS], rows,
-                       title="Table 3: stapling conformance"))
-    return 0
-
-
-def _scan_config(args: argparse.Namespace):
-    from .datasets import WorldConfig
-    from .runtime import ScanCampaignConfig
-    return ScanCampaignConfig(
-        world=WorldConfig(n_responders=args.responders,
-                          certs_per_responder=args.certs, seed=_seed(args)),
-        interval=args.interval * HOUR,
-        start=MEASUREMENT_START,
-        end=MEASUREMENT_START + args.days * DAY)
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     from .runtime import run_experiment
     from .scanner.io import dump_dataset
-    config = _scan_config(args)
-    print(f"scanning {args.days} days x {config.world.n_responders} "
-          f"responders every {args.interval}h from 6 vantages...",
-          file=sys.stderr)
-    result = run_experiment("fig3", config=config, **_runtime_kwargs(args))
+    scale = _scale(args)
+    print(f"scanning {scale.scan_days} days x {scale.n_responders} "
+          f"responders every {scale.scan_interval // HOUR}h from 6 "
+          f"vantages...", file=sys.stderr)
+    result = run_experiment("fig3", scale=scale, **_runtime_kwargs(args))
     dataset = result.artifacts["dataset"]
     if args.out:
         with open(args.out, "w") as stream:
@@ -137,7 +95,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         with open(args.events, "w", encoding="ascii") as stream:
             count = write_events(stream, dataset_to_events(dataset),
                                  meta={"source": "repro scan",
-                                       "seed": _seed(args)})
+                                       "seed": scale.seed})
         print(f"wrote {count} events to {args.events}", file=sys.stderr)
     return 0
 
@@ -155,9 +113,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         with open(args.scan_file) as stream:
             dataset = load_dataset(stream)
     else:
-        # No file: run the default fig3 campaign through the runtime.
+        # No file: run the fig3 campaign through the runtime.
         from .runtime import run_experiment
-        result = run_experiment("fig3", config=_scan_config(args),
+        result = run_experiment("fig3", scale=_scale(args),
                                 **_runtime_kwargs(args))
         dataset = result.artifacts["dataset"]
         print(f"cache: {result.cache_status}", file=sys.stderr)
@@ -216,22 +174,6 @@ def _cmd_analyze_static(args: argparse.Namespace) -> int:
     return 0 if analysis.clean else 1
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    from .core import render_table
-    from .scanner import ConsistencyConfig, ConsistencyWorld, run_consistency_scan
-    world = ConsistencyWorld(ConsistencyConfig(scale=args.scale,
-                                               seed=_seed(args)))
-    report = run_consistency_scan(world)
-    rows = [[row.ocsp_url, row.unknown, row.good, row.revoked]
-            for row in report.discrepant_rows()]
-    print(render_table(["OCSP URL", "Unknown", "Good", "Revoked"], rows,
-                       title=f"CRL vs OCSP discrepancies (scale 1:{args.scale})"))
-    print(f"responses: {report.responses_collected}/{report.serials_checked}; "
-          f"differing revocation times: "
-          f"{report.differing_time_fraction() * 100:.2f}%")
-    return 0
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .core.experiments import index_table
     print(index_table())
@@ -273,10 +215,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from .core.figures import FigureScale
+    from .core.figures import paper_table
     from .runtime import ShardQuarantinedError, run_experiment
-    scale = FigureScale.full() if args.scale == "full" else FigureScale.small()
-    scale.seed = _seed(args)
     kwargs = _runtime_kwargs(args)
     kwargs.update(allow_partial=args.allow_partial,
                   shard_timeout=args.shard_timeout,
@@ -294,7 +234,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       else args.lease,
                       spawn_workers=not args.no_spawn)
     try:
-        result = run_experiment(args.experiment_id, scale=scale, **kwargs)
+        result = run_experiment(args.experiment_id, scale=_scale(args),
+                                **kwargs)
     except KeyError:
         print(f"run: unknown experiment {args.experiment_id!r} "
               f"(see 'repro experiments')", file=sys.stderr)
@@ -325,17 +266,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for state in manifest.quarantined():
         print(f"  quarantined {state.label or state.index}: "
               f"{state.quarantine_reason}")
-    return 0 if manifest.complete else 3
+    if not manifest.complete:
+        return 3
+    table = paper_table(result)
+    if table is not None:
+        print()
+        sys.stdout.write(table)
+    return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from .core.figures import FigureScale, generate_all
-    scale = FigureScale.full() if args.scale == "full" else FigureScale.small()
-    scale.seed = _seed(args)
+    from .core.figures import generate_all
     print(f"generating figure/table data into {args.out} "
           f"({args.scale} scale, workers={args.workers})...", file=sys.stderr)
-    written = generate_all(args.out, scale, workers=args.workers,
-                           cache_dir=args.cache_dir)
+    written = generate_all(args.out, _scale(args), **_runtime_kwargs(args))
     for path in written:
         print(path)
     return 0
@@ -839,13 +783,16 @@ def build_parser() -> argparse.ArgumentParser:
                                     "~/.cache/repro-experiments)")
     runtime_flags.add_argument("--no-cache", action="store_true",
                                help="disable the artifact cache")
+    runtime_flags.add_argument("--scale", choices=["small", "full"],
+                               default="small",
+                               help="experiment size: small (seconds) or "
+                                    "full (benchmark scale)")
 
     run = commands.add_parser(
         "run", parents=[runtime_flags],
         help="run any registered experiment via the unified runtime")
     run.add_argument("experiment_id", metavar="experiment",
                      help="registry id, e.g. fig3 (see 'repro experiments')")
-    run.add_argument("--scale", choices=["small", "full"], default="small")
     run.add_argument("--json", action="store_true",
                      help="print the full result document as JSON")
     run.add_argument("--allow-partial", action="store_true",
@@ -885,24 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "DEFAULT_LEASE_S)")
     run.set_defaults(func=_cmd_run)
 
-    readiness = commands.add_parser("readiness", parents=[runtime_flags],
-                                    help="the Section-8 verdict")
-    readiness.add_argument("--responders", type=int, default=70)
-    readiness.add_argument("--days", type=int, default=3)
-    readiness.set_defaults(func=_cmd_readiness)
-
-    browsers = commands.add_parser("browsers", help="Table 2")
-    browsers.set_defaults(func=_cmd_browsers)
-
-    servers = commands.add_parser("servers", help="Table 3")
-    servers.set_defaults(func=_cmd_servers)
-
     scan = commands.add_parser("scan", parents=[runtime_flags],
-                               help="run a measurement campaign")
-    scan.add_argument("--responders", type=int, default=70)
-    scan.add_argument("--certs", type=int, default=1)
-    scan.add_argument("--days", type=int, default=7)
-    scan.add_argument("--interval", type=int, default=6, help="hours between scans")
+                               help="run the Figure 3 campaign")
     scan.add_argument("--out", help="write JSON-lines here (default: stdout)")
     scan.add_argument("--events", default=None, metavar="PATH",
                       help="also write the campaign as a monitor event "
@@ -917,11 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="saved scan (default: run the fig3 campaign); "
                               "a directory selects the static analyzer "
                               "and is used as its source root")
-    analyze.add_argument("--responders", type=int, default=70)
-    analyze.add_argument("--certs", type=int, default=1)
-    analyze.add_argument("--days", type=int, default=7)
-    analyze.add_argument("--interval", type=int, default=6,
-                         help="hours between scans (no-file mode)")
     analyze.add_argument("--strict", action="store_true",
                          help="static analyzer: exit 1 on ANY finding, "
                               "warnings included")
@@ -935,11 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="text",
                          help="static analyzer report format")
     analyze.set_defaults(func=_cmd_analyze)
-
-    audit = commands.add_parser("audit", parents=[seed_flags],
-                                help="CRL vs OCSP cross-check")
-    audit.add_argument("--scale", type=int, default=200)
-    audit.set_defaults(func=_cmd_audit)
 
     experiments = commands.add_parser("experiments", help="the experiment index")
     experiments.set_defaults(func=_cmd_experiments)
@@ -1066,9 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", parents=[runtime_flags],
         help="write every figure/table's data files")
     figures.add_argument("--out", default="results")
-    figures.add_argument("--scale", choices=["small", "full"],
-                         default="small",
-                         help="small (seconds) or full (benchmark scale)")
     figures.set_defaults(func=_cmd_figures)
 
     serve = commands.add_parser(

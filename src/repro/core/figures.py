@@ -8,22 +8,26 @@ per paper artefact into an output directory:
     from repro.core.figures import FigureScale, generate_all
     written = generate_all("results/", FigureScale.small())
 
-Every artefact is produced through :func:`repro.runtime.run_experiment`,
-so the heavy inputs are shared: Figures 3 and 5-9 read one scan
-campaign's shards from the artifact cache, and Table 1 / Figure 10
-share one consistency cross-check.  Exposed through the CLI as
-``python -m repro figures --out results/``.
+Every artefact is produced through :func:`repro.runtime.run_experiment`
+on its default config at the given scale, so the heavy inputs are
+shared: Figures 3 and 5-9 read one scan campaign's shards from the
+artifact cache, and Table 1 / Figure 10 share one consistency
+cross-check.  :data:`ARTEFACTS` holds the one renderer of each
+artefact; ``python -m repro figures --out results/`` writes them all,
+and ``python -m repro run <id>`` prints the paper tables among them.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..simnet import DAY, HOUR
+from .render import render_table
 
 
 @dataclass
@@ -52,145 +56,128 @@ class FigureScale:
                    consistency_scale=40)
 
 
-def _write_csv(path: str, header: List[str], rows) -> None:
-    with open(path, "w", newline="") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: List[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as stream:
-        stream.write(text if text.endswith("\n") else text + "\n")
+def _table(header: List[str], rows) -> str:
+    return render_table(header, rows) + "\n"
+
+
+def _sec4_deployment(result) -> str:
+    def cell(row) -> str:
+        if row["metric"] == "must_staple_fraction_unboosted":
+            return f"{row['value']:.6f}"
+        return f"{row['value']:.4f}"
+    return _table(["metric", "value"],
+                  [[row["metric"], cell(row)] for row in result.rows])
+
+
+def _cdf(result) -> str:
+    # to_dict() maps the Figure-8 blank-nextUpdate infinity to "inf".
+    return _csv(["value", "cdf"], [(row["value"], f"{row['cdf']:.4f}")
+                                   for row in result.to_dict()["rows"]])
+
+
+def _table3(result) -> str:
+    from ..webserver import EXPERIMENTS
+    return _table(["software", *EXPERIMENTS],
+                  [[row["software"], *[row[name] for name in EXPERIMENTS]]
+                   for row in result.rows])
+
+
+#: Experiment id -> (file name, render(result) -> the file's text), in
+#: the order :func:`generate_all` runs them: Figures 3 and 5-9 share
+#: one scan campaign's cache entries, Table 1 and Figure 10 one
+#: cross-check.  A ``.txt`` file is a paper table, which ``repro run``
+#: also prints.
+ARTEFACTS: Dict[str, Tuple[str, Callable[[Any], str]]] = {
+    "sec4-deployment": ("sec4_deployment.txt", _sec4_deployment),
+    "fig2": ("fig2_adoption.csv", lambda result: _csv(
+        ["rank_bin", "https_pct", "ocsp_pct"],
+        [(row["rank_bin"], f"{row['https_pct']:.2f}",
+          f"{row['ocsp_pct']:.2f}") for row in result.rows])),
+    "fig11": ("fig11_stapling_adoption.csv", lambda result: _csv(
+        ["rank_bin", "stapling_pct"],
+        [(row["rank_bin"], f"{row['stapling_pct']:.2f}")
+         for row in result.rows])),
+    "fig3": ("fig3_availability.csv", lambda result: _csv(
+        ["timestamp", "vantage", "success_pct"],
+        [(row["timestamp"], row["vantage"], f"{row['success_pct']:.3f}")
+         for row in result.rows])),
+    "fig4": ("fig4_domains_unable.csv", lambda result: _csv(
+        ["timestamp", "vantage", "domains_unable"],
+        [(row["ts"], row["vantage"], f"{row['unable']:.0f}")
+         for row in result.rows])),
+    "fig5": ("fig5_unusable.csv", lambda result: _csv(
+        ["timestamp", "error_class", "pct"],
+        [(row["timestamp"], row["error_class"], f"{row['pct']:.4f}")
+         for row in result.rows])),
+    "fig6": ("fig6_certs_cdf.csv", _cdf),
+    "fig7": ("fig7_serials_cdf.csv", _cdf),
+    "fig8": ("fig8_validity_cdf.csv", _cdf),
+    "fig9": ("fig9_margin_cdf.csv", _cdf),
+    "tbl1": ("table1_discrepancies.txt", lambda result: _table(
+        ["ocsp_url", "unknown", "good", "revoked"],
+        [[row["ocsp_url"], row["unknown"], row["good"], row["revoked"]]
+         for row in result.rows])),
+    "fig10": ("fig10_time_deltas.csv", lambda result: _csv(
+        ["ocsp_url", "serial", "delta_seconds"],
+        [(row["ocsp_url"], row["serial"], row["delta"])
+         for row in result.rows if row["delta"] != 0])),
+    "tbl2": ("table2_browsers.txt", lambda result: _table(
+        ["browser", "request_ocsp", "respect_must_staple", "own_ocsp"],
+        [[row["browser"], row["request_ocsp"], row["respect_must_staple"],
+          row["own_ocsp"]] for row in result.rows])),
+    "fig12": ("fig12_history.csv", lambda result: _csv(
+        ["month", "ocsp_pct", "stapling_pct", "cloudflare_domains"],
+        [(row["month"], row["ocsp_pct"], row["stapling_pct"],
+          row["cloudflare_domains"]) for row in result.rows])),
+    "tbl3": ("table3_webservers.txt", _table3),
+    "sec8-readiness": ("sec8_readiness.txt", lambda result:
+                       result.artifacts["report"].render() + "\n"),
+}
+
+
+def paper_table(result) -> Optional[str]:
+    """*result*'s paper table as text, or ``None`` when its artefact is
+    a CSV series (or it has none)."""
+    name, render = ARTEFACTS.get(result.experiment_id, ("", None))
+    return render(result) if name.endswith(".txt") else None
 
 
 def generate_all(outdir: str, scale: Optional[FigureScale] = None,
-                 workers: int = 1,
+                 workers: int = 1, cache: bool = True,
                  cache_dir: Optional[str] = None) -> List[str]:
     """Generate every artefact's data file; returns the written paths.
 
-    *workers* parallelizes shard execution (same bytes at any count).
-    Without an explicit *cache_dir* a private temporary cache still
-    backs the run, so the scan campaign that feeds Figures 3 and 5-9
-    executes exactly once.
+    Each experiment runs on ``default_config(id, scale)``, as
+    ``repro run`` runs it.  *workers* parallelizes shard execution
+    (same bytes at any count).  Without a *cache_dir*, or with *cache*
+    off, a private temporary cache still backs the run, so the scan
+    campaign that feeds Figures 3 and 5-9 executes exactly once.
     """
-    if cache_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-figures-") as tmp:
-            return _generate_all(outdir, scale, workers, tmp)
-    return _generate_all(outdir, scale, workers, cache_dir)
+    if cache and cache_dir is not None:
+        return _generate_all(outdir, scale, workers, cache_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-figures-") as tmp:
+        return _generate_all(outdir, scale, workers, tmp)
 
 
 def _generate_all(outdir: str, scale: Optional[FigureScale],
                   workers: int, cache_dir: str) -> List[str]:
-    from ..runtime import ConsistencyRunConfig, run_experiment
-    from ..webserver import EXPERIMENTS
-    from .render import render_table
+    from ..runtime import run_experiment
 
-    scale = scale or FigureScale.small()
     os.makedirs(outdir, exist_ok=True)
     written: List[str] = []
-
-    def out(name: str) -> str:
+    for experiment_id, (name, render) in ARTEFACTS.items():
+        result = run_experiment(experiment_id, workers=workers, cache=True,
+                                cache_dir=cache_dir, scale=scale)
         path = os.path.join(outdir, name)
+        with open(path, "w", newline="") as stream:
+            stream.write(render(result))
         written.append(path)
-        return path
-
-    def run(experiment_id: str, config=None):
-        return run_experiment(experiment_id, config=config, workers=workers,
-                              cache=True, cache_dir=cache_dir, scale=scale)
-
-    # --- Section 4 --------------------------------------------------------------
-    sec4 = run("sec4-deployment")
-
-    def _sec4_cell(row) -> str:
-        if row["metric"] == "must_staple_fraction_unboosted":
-            return f"{row['value']:.6f}"
-        return f"{row['value']:.4f}"
-
-    _write_text(out("sec4_deployment.txt"), render_table(
-        ["metric", "value"],
-        [[row["metric"], _sec4_cell(row)] for row in sec4.rows],
-    ))
-
-    # --- Figures 2 and 11 --------------------------------------------------------
-    fig2 = run("fig2")
-    _write_csv(out("fig2_adoption.csv"),
-               ["rank_bin", "https_pct", "ocsp_pct"],
-               [(row["rank_bin"], f"{row['https_pct']:.2f}",
-                 f"{row['ocsp_pct']:.2f}") for row in fig2.rows])
-    fig11 = run("fig11")
-    _write_csv(out("fig11_stapling_adoption.csv"),
-               ["rank_bin", "stapling_pct"],
-               [(row["rank_bin"], f"{row['stapling_pct']:.2f}")
-                for row in fig11.rows])
-
-    # --- Figure 3 ----------------------------------------------------------------
-    fig3 = run("fig3")
-    _write_csv(out("fig3_availability.csv"),
-               ["timestamp", "vantage", "success_pct"],
-               [(row["timestamp"], row["vantage"], f"{row['success_pct']:.3f}")
-                for row in fig3.rows])
-
-    # --- Figure 4 ----------------------------------------------------------------
-    fig4 = run("fig4")
-    _write_csv(out("fig4_domains_unable.csv"),
-               ["timestamp", "vantage", "domains_unable"],
-               [(row["ts"], row["vantage"], f"{row['unable']:.0f}")
-                for row in fig4.rows])
-
-    # --- Figure 5 ----------------------------------------------------------------
-    fig5 = run("fig5")
-    _write_csv(out("fig5_unusable.csv"),
-               ["timestamp", "error_class", "pct"],
-               [(row["timestamp"], row["error_class"], f"{row['pct']:.4f}")
-                for row in fig5.rows])
-
-    # --- Figures 6-9 ---------------------------------------------------------------
-    for experiment_id, name in (("fig6", "fig6_certs_cdf"),
-                                ("fig7", "fig7_serials_cdf"),
-                                ("fig8", "fig8_validity_cdf"),
-                                ("fig9", "fig9_margin_cdf")):
-        result = run(experiment_id)
-        # to_dict() maps the Figure-8 blank-nextUpdate infinity to "inf".
-        document = result.to_dict()
-        _write_csv(out(f"{name}.csv"), ["value", "cdf"],
-                   [(row["value"], f"{row['cdf']:.4f}")
-                    for row in document["rows"]])
-
-    # --- Table 1 / Figure 10 ---------------------------------------------------------
-    consistency_config = ConsistencyRunConfig(scale=scale.consistency_scale,
-                                              seed=scale.seed)
-    tbl1 = run("tbl1", config=consistency_config)
-    _write_text(out("table1_discrepancies.txt"), render_table(
-        ["ocsp_url", "unknown", "good", "revoked"],
-        [[row["ocsp_url"], row["unknown"], row["good"], row["revoked"]]
-         for row in tbl1.rows]))
-    fig10 = run("fig10", config=consistency_config)
-    _write_csv(out("fig10_time_deltas.csv"),
-               ["ocsp_url", "serial", "delta_seconds"],
-               [(row["ocsp_url"], row["serial"], row["delta"])
-                for row in fig10.rows if row["delta"] != 0])
-
-    # --- Table 2 -------------------------------------------------------------------
-    tbl2 = run("tbl2")
-    _write_text(out("table2_browsers.txt"), render_table(
-        ["browser", "request_ocsp", "respect_must_staple", "own_ocsp"],
-        [[row["browser"], row["request_ocsp"], row["respect_must_staple"],
-          row["own_ocsp"]] for row in tbl2.rows]))
-
-    # --- Figure 12 ------------------------------------------------------------------
-    fig12 = run("fig12")
-    _write_csv(out("fig12_history.csv"),
-               ["month", "ocsp_pct", "stapling_pct", "cloudflare_domains"],
-               [(row["month"], row["ocsp_pct"], row["stapling_pct"],
-                 row["cloudflare_domains"]) for row in fig12.rows])
-
-    # --- Table 3 -------------------------------------------------------------------
-    tbl3 = run("tbl3")
-    _write_text(out("table3_webservers.txt"),
-                render_table(["software", *EXPERIMENTS],
-                             [[row["software"],
-                               *[row[name] for name in EXPERIMENTS]]
-                              for row in tbl3.rows]))
-
     return written

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ca.responder import OCSPResponder
-from ..monitor.events import MonitorEvent
 from ..simnet.http import HTTPRequest, HTTPResponse, ocsp_http_exchange
 
 
@@ -38,7 +37,7 @@ class ServeApp:
         #: :class:`~repro.monitor.events.MonitorEvent` here (the
         #: daemon's ``--access-log`` plugs a JSONL writer in; tests
         #: plug lists in).  ``None`` keeps serving zero-overhead.
-        self.access_sink: Optional[Callable[[MonitorEvent], None]] = None
+        self.access_sink: Optional[Callable[["MonitorEvent"], None]] = None
         self.access_events = 0
 
     @classmethod
@@ -106,6 +105,9 @@ class ServeApp:
         """
         if self.access_sink is None:
             return
+        # Imported here: the monitor package costs every daemon that
+        # keeps no access log its import time and memory.
+        from ..monitor.events import MonitorEvent
         event = MonitorEvent(kind="access", ts=self.now,
                              seq=(self.access_events,),
                              data={"host": host, "method": method,

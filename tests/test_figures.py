@@ -34,6 +34,7 @@ EXPECTED_FILES = [
     "table1_discrepancies.txt",
     "table2_browsers.txt",
     "table3_webservers.txt",
+    "sec8_readiness.txt",
 ]
 
 
@@ -88,3 +89,18 @@ class TestGenerateAll:
         a = (outdir / "fig3_availability.csv").read_text()
         b = (tmp_path / "fig3_availability.csv").read_text()
         assert a == b
+
+
+def test_no_cache_uses_a_private_cache(tmp_path, monkeypatch):
+    # --no-cache must not touch the named cache, yet the scan campaign
+    # still runs once: generate_all backs it with a temporary cache.
+    import repro.core.figures as figures
+    seen = []
+    monkeypatch.setattr(figures, "_generate_all",
+                        lambda outdir, scale, workers, cache_dir:
+                        seen.append(cache_dir) or [])
+    named = str(tmp_path / "cache")
+    generate_all(str(tmp_path), cache=False, cache_dir=named)
+    generate_all(str(tmp_path), cache=True, cache_dir=named)
+    assert seen[0] != named and "repro-figures-" in seen[0]
+    assert seen[1] == named

@@ -105,17 +105,26 @@ class TestExperimentRegistry:
 class TestCLI:
     def test_parser_builds(self):
         parser = build_parser()
-        args = parser.parse_args(["browsers"])
-        assert args.command == "browsers"
+        args = parser.parse_args(["run", "tbl2"])
+        assert args.command == "run"
+        assert args.scale == "small"
 
-    def test_browsers_command(self, capsys):
-        assert main(["browsers"]) == 0
+    @pytest.mark.parametrize("command", ["browsers", "servers", "audit",
+                                         "readiness"])
+    def test_deleted_table_commands_exit_2(self, command):
+        # Every paper table now comes from `repro run <id>`.
+        with pytest.raises(SystemExit) as exited:
+            main([command])
+        assert exited.value.code == 2
+
+    def test_run_tbl2_prints_table2(self, tmp_path, capsys):
+        assert main(["run", "tbl2", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Firefox 60 (Linux)" in out
-        assert "Table 2" in out
+        assert "respect_must_staple" in out
 
-    def test_servers_command(self, capsys):
-        assert main(["servers"]) == 0
+    def test_run_tbl3_prints_table3(self, tmp_path, capsys):
+        assert main(["run", "tbl3", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "apache-2.4.18" in out
         assert "pause conn." in out
@@ -134,20 +143,105 @@ class TestCLI:
         assert chain[0].must_staple
         assert chain[0].matches_hostname("cli.example")
 
-    def test_audit_command(self, capsys):
-        assert main(["audit", "--scale", "2000"]) == 0
+    def test_run_tbl1_prints_table1(self, tmp_path, capsys):
+        assert main(["run", "tbl1", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "ocsp.camerfirma.com" in out
 
+    def test_run_sec8_readiness_prints_report(self, tmp_path, capsys):
+        assert main(["run", "sec8-readiness",
+                     "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "NOT READY" in out
+        assert "Is the web ready for OCSP Must-Staple?  NO" in out
+
+    def test_run_prints_no_csv_series(self, tmp_path, capsys):
+        # fig12's renderer writes a CSV; run prints only the summary.
+        assert main(["run", "fig12", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "cloudflare_domains" not in out
+        assert out.rstrip().splitlines()[-1].startswith("manifest:")
+
+    def test_run_table_is_the_figures_file(self, tmp_path, capsys):
+        # One renderer: `repro run tbl2` prints exactly the bytes that
+        # `repro figures` writes to table2_browsers.txt.
+        from repro.core.figures import ARTEFACTS, FigureScale
+        from repro.runtime import run_experiment
+        assert main(["run", "tbl2", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        name, render = ARTEFACTS["tbl2"]
+        assert name == "table2_browsers.txt"
+        table = render(run_experiment("tbl2", cache_dir=str(tmp_path),
+                                      scale=FigureScale.small()))
+        assert out.endswith("\n\n" + table)
+
     def test_scan_and_analyze(self, tmp_path, capsys):
         scan_file = tmp_path / "scan.jsonl"
-        assert main(["scan", "--responders", "40", "--days", "1",
-                     "--interval", "12", "--out", str(scan_file)]) == 0
+        assert main(["scan", "--cache-dir", str(tmp_path / "cache"),
+                     "--out", str(scan_file)]) == 0
         assert scan_file.exists()
         assert main(["analyze", str(scan_file)]) == 0
         out = capsys.readouterr().out
         assert "failure rate by vantage" in out
 
+    def test_scan_shares_the_fig3_cache(self, tmp_path, capsys):
+        # scan builds fig3 on default_config("fig3", scale), so a scan
+        # after `repro run fig3` on one cache executes no shard.
+        cache = str(tmp_path / "cache")
+        assert main(["run", "fig3", "--cache-dir", cache]) == 0
+        assert "cache: miss" in capsys.readouterr().out
+        assert main(["scan", "--cache-dir", cache,
+                     "--out", str(tmp_path / "scan.jsonl")]) == 0
+        assert "(cache: hit)" in capsys.readouterr().err
+
+    def test_scan_events_replay(self, tmp_path, capsys):
+        scan_file = tmp_path / "scan.jsonl"
+        events = tmp_path / "events.jsonl"
+        assert main(["scan", "--cache-dir", str(tmp_path / "cache"),
+                     "--out", str(scan_file),
+                     "--events", str(events)]) == 0
+        assert loads_dataset(scan_file.read_text()).records
+        err = capsys.readouterr().err
+        assert f"events to {events}" in err
+        assert main(["monitor", "replay", str(events),
+                     "--partitions", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "availability:" in out
+        assert "DIVERGED" not in out
+
+    def test_figures_no_cache_reaches_generate_all(self, tmp_path,
+                                                   monkeypatch):
+        import repro.core.figures as figures
+        seen = {}
+
+        def fake_generate_all(outdir, scale, **kwargs):
+            seen.update(outdir=outdir, scale=scale, **kwargs)
+            return []
+
+        monkeypatch.setattr(figures, "generate_all", fake_generate_all)
+        assert main(["figures", "--out", str(tmp_path), "--no-cache",
+                     "--cache-dir", str(tmp_path / "c"), "--seed", "9",
+                     "--workers", "2"]) == 0
+        assert seen["cache"] is False
+        assert seen["cache_dir"] == str(tmp_path / "c")
+        assert seen["workers"] == 2
+        assert seen["scale"].seed == 9
+        assert seen["scale"].n_responders == figures.FigureScale().n_responders
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["definitely-not-a-command"])
+
+
+def test_readme_lists_every_command():
+    # README's `python -m repro <cmd>` examples name exactly the
+    # subcommands the parser accepts: no deleted command lingers and
+    # no command goes undocumented.
+    import argparse
+    import re
+    from pathlib import Path
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = set(re.findall(r"python -m repro ([a-z][a-z-]*)", readme))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert documented == set(subparsers.choices)

@@ -433,12 +433,14 @@ class TestCLIRuntime:
         assert main(["run", "nope", "--cache-dir", str(tmp_path)]) == 2
 
     def test_root_seed_alias_is_an_error(self, tmp_path):
-        from repro.cli import main
+        from repro.cli import build_parser, main
         out = tmp_path / "scan.jsonl"
+        scan = ["scan", "--scale", "small", "--no-cache", "--out", str(out)]
+        # The same scan arguments parse without the root-level --seed ...
+        assert build_parser().parse_args(scan).command == "scan"
+        # ... so only the root --seed makes this an error.
         with pytest.raises(SystemExit) as exited:
-            main(["--seed", "9", "scan", "--responders", "40",
-                  "--days", "1", "--interval", "12", "--no-cache",
-                  "--out", str(out)])
+            main(["--seed", "9", *scan])
         assert exited.value.code == 2
         assert not out.exists()
 

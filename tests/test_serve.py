@@ -562,3 +562,19 @@ class TestIdentityShard:
         assert corrupted
         assert row["mismatches"] > 0
         assert row["served_digest"] != row["direct_digest"]
+
+
+def test_serve_does_not_load_the_monitor_package():
+    # A daemon without --access-log never needs the reducers, replay
+    # or windows modules; only the access-emit path imports them.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, repro.cli, repro.serve; "
+             "print('repro.monitor.reducers' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
