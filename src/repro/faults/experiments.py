@@ -174,9 +174,9 @@ def chaos_client_shards(config) -> List:
 def run_chaos_availability(ctx, config) -> Dict[str, Any]:
     """Figures 3/4 extended: availability under each fault scenario."""
     from ..core.availability import analyze_availability
-    from ..runtime.sharding import merge_scan_rows
+    from ..runtime.sharding import merge_scan_rows, scan_entries
     from ..scanner.results import ProbeOutcome
-    outputs = ctx.run_shards(chaos_scan_shards(config))
+    outputs = ctx.run_shards(chaos_scan_shards(config), decode=scan_entries)
     chunks = len(outputs) // len(config.scenarios)
 
     rows: List[Dict[str, Any]] = []

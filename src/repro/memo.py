@@ -1,6 +1,7 @@
 """The one bounded memo type behind every per-process memo.
 
-DESIGN.md section 5.1 lists the instances, their keys and caps.  The
+DESIGN.md section 5.1 lists the instances, their keys and caps; the
+one that no single module owns, :data:`DECODED_ENTRIES`, lives here.  The
 effect analyzer records a call on a module-level ``BoundedMemo`` as an
 allowed global mutation under one justification
 (:data:`repro.analyze.effects.MEMO_GRANT`), so memo sites need no pragma.
@@ -8,7 +9,7 @@ allowed global mutation under one justification
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Hashable, Iterable, TypeVar
+from typing import Any, Callable, Dict, Generic, Hashable, Iterable, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -59,3 +60,11 @@ class BoundedMemo(Generic[K, V]):
     def values(self) -> Iterable[V]:
         """The stored values, oldest first."""
         return self._entries.values()
+
+
+#: Decoded artifact-cache entries, keyed by ``(decode, payload digest)``:
+#: the digest of the row bytes :meth:`repro.runtime.cache.ArtifactCache.
+#: load` just read and verified, never a shard key or a config.  Every
+#: scan-family experiment decodes the same campaign entries; 8 holds one
+#: campaign's ``target_chunks`` at any scale.
+DECODED_ENTRIES: BoundedMemo[tuple, Any] = BoundedMemo(8)

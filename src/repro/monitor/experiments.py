@@ -58,7 +58,7 @@ def run_monitor_convergence(ctx, config) -> Dict[str, Any]:
     batch, both folds."""
     from ..canon import stable_digest
     from ..core.availability import analyze_availability
-    from ..runtime.sharding import merge_scan_rows, scan_shards
+    from ..runtime.sharding import merge_scan_rows, scan_entries, scan_shards
     from .reducers import default_reducers
     from .replay import merge_states
 
@@ -84,7 +84,9 @@ def run_monitor_convergence(ctx, config) -> Dict[str, Any]:
 
     # The batch side: the deterministic dataset merge the figures use,
     # analyzed by the one-partition replay that core.availability is.
-    dataset = merge_scan_rows(config.campaign, outputs)
+    # The stream side above needs the raw rows, so this side decodes.
+    dataset = merge_scan_rows(config.campaign,
+                              [scan_entries(rows) for rows in outputs])
     batch_report = analyze_availability(dataset)
     batch_digest = stable_digest(batch_report)
     stream_digest = fold_digests["availability"]["forward"]

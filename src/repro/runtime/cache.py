@@ -19,6 +19,11 @@ it is moved into a ``corrupt/`` quarantine directory (preserving the
 evidence for post-mortems) and reported as a miss, so the shard simply
 recomputes.  ``repro cache stats|verify|gc`` exposes the same
 machinery from the command line.
+
+Every load reads and verifies its file.  Only the decode that follows
+is memoized: ``load(key, decode)`` keys
+:data:`repro.memo.DECODED_ENTRIES` on the digest of the row bytes it
+just verified, so a process decodes each distinct entry once.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import __version__
 from ..canon import stable_digest
+from ..memo import DECODED_ENTRIES
 
 #: Bump the schema component when the shard row format changes — old
 #: cache entries become unreachable rather than misread.  v2 added the
@@ -81,7 +87,7 @@ def write_atomic(path: str, text: str) -> None:
 
 #: One decoder and one encoder for every row line.  ``_decode_row`` is
 #: ``raw_decode``: it stops at the end of the first JSON value, so
-#: :meth:`ArtifactCache._parse` accepts its result only when that value
+#: :meth:`ArtifactCache._rows` accepts its result only when that value
 #: ends the line.  ``_encode_row`` writes exactly the bytes of
 #: ``json.dumps(row, sort_keys=True)``.
 _decode_row = json.JSONDecoder().raw_decode
@@ -135,6 +141,10 @@ class VerifyReport:
                 "corrupt": list(self.corrupt)}
 
 
+class _CorruptRows(Exception):
+    """A verified entry's row lines do not decode (internal)."""
+
+
 class ArtifactCache:
     """Store and retrieve shard outputs by content address."""
 
@@ -164,8 +174,9 @@ class ArtifactCache:
             pass
 
     @staticmethod
-    def _parse(raw: str) -> Optional[List[Dict[str, Any]]]:
-        """Parse and integrity-check one entry; None means corrupt.
+    def _verified(raw: str) -> Optional[Tuple[str, List[str]]]:
+        """``(payload digest, row lines)`` of an entry whose header
+        checks pass; None means corrupt.
 
         A well-formed entry has a valid header whose ``rows`` count
         matches the number of payload lines and whose ``digest``
@@ -187,8 +198,15 @@ class ArtifactCache:
         body = [line for line in lines[1:] if line.strip()]
         if header.get("rows") != len(body):
             return None
-        if header.get("digest") != _payload_digest(body):
+        digest = _payload_digest(body)
+        if header.get("digest") != digest:
             return None
+        return digest, body
+
+    @staticmethod
+    def _rows(body: List[str]) -> List[Dict[str, Any]]:
+        """Decode verified row lines; raises :class:`_CorruptRows` when
+        a line is not one JSON value."""
         rows = []
         append = rows.append
         try:
@@ -204,15 +222,35 @@ class ArtifactCache:
                     row = json.loads(line)
                 append(row)
         except (ValueError, RecursionError):
-            return None
+            raise _CorruptRows from None
         return rows
 
-    def load(self, key: str) -> Optional[List[Dict[str, Any]]]:
+    @classmethod
+    def _parse(cls, raw: str) -> Optional[List[Dict[str, Any]]]:
+        """Parse and integrity-check one entry; None means corrupt."""
+        verified = cls._verified(raw)
+        if verified is None:
+            return None
+        try:
+            return cls._rows(verified[1])
+        except _CorruptRows:
+            return None
+
+    def load(self, key: str,
+             decode: Optional[Callable[[List[Dict[str, Any]]], Any]] = None
+             ) -> Any:
         """The cached rows for *key*, or None on a miss.
 
         A missing file is a plain miss.  A file that fails any
         integrity check is quarantined into ``corrupt/`` and reported
         as a miss — the shard recomputes and stores a fresh entry.
+
+        With *decode* (a pure function of the row list) the result is
+        ``decode(rows)``, memoized per process on ``(decode, digest of
+        the verified row bytes)``: the file is still read and checked
+        on every call, and only bytes already decoded skip the JSON
+        decode and *decode*.  An exception from *decode* propagates
+        and is not memoized.
         """
         if not self.enabled:
             return None
@@ -222,11 +260,18 @@ class ArtifactCache:
                 raw = stream.read()
         except OSError:
             return None
-        rows = self._parse(raw)
-        if rows is None:
-            self._quarantine(path)
-            return None
-        return rows
+        verified = self._verified(raw)
+        if verified is not None:
+            digest, body = verified
+            try:
+                if decode is None:
+                    return self._rows(body)
+                return DECODED_ENTRIES.lookup(
+                    (decode, digest), lambda _: decode(self._rows(body)))
+            except _CorruptRows:
+                pass
+        self._quarantine(path)
+        return None
 
     def store(self, key: str, worker: str,
               rows: List[Dict[str, Any]]) -> None:

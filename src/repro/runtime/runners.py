@@ -48,6 +48,7 @@ from .sharding import (
     corpus_shards,
     merge_scan_rows,
     outage_impact_shards,
+    scan_entries,
     scan_shards,
     single_shard,
 )
@@ -483,7 +484,8 @@ def keysize_shard(payload: Dict[str, Any]) -> List[Dict[str, Any]]:  # repro: al
 
 def merged_scan(ctx, config: ScanCampaignConfig):
     """Plan, execute, and merge one scan campaign."""
-    return merge_scan_rows(config, ctx.run_shards(scan_shards(config)))
+    return merge_scan_rows(config, ctx.run_shards(scan_shards(config),
+                                                  decode=scan_entries))
 
 
 def _built_corpus(ctx, config: CorpusRunConfig):

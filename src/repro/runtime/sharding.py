@@ -22,10 +22,10 @@ shards a serial run produced.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..canon import split_ranges
-from ..scanner.io import record_from_dict
+from ..scanner.io import record_fields
 from ..simnet.vantage import VANTAGE_POINTS
 from .configs import (
     AlexaRunConfig,
@@ -58,20 +58,37 @@ def scan_shards(config: ScanCampaignConfig) -> List[ShardSpec]:
     ]
 
 
+#: One decoded scan row: ``(ts, ti, vi, fields)``, where *fields* are
+#: the positional :class:`~repro.scanner.results.ProbeRecord` arguments.
+ScanEntry = Tuple[int, int, int, tuple]
+
+_MERGE_ORDER = itemgetter(0, 1, 2)
+
+
+def scan_entries(rows: List[Dict[str, Any]]) -> Tuple[ScanEntry, ...]:
+    """Decode one scan shard's rows into immutable entries, the form
+    :func:`merge_scan_rows` reads (and the artifact cache memoizes per
+    verified entry, so a campaign is decoded once per process)."""
+    return tuple([(row["ts"], row["ti"], row["vi"], record_fields(row))
+                  for row in rows])
+
+
 def merge_scan_rows(config: ScanCampaignConfig,
-                    outputs: List[List[Dict[str, Any]]]):
-    """Merge shard probe rows into the exact serial ``ScanDataset``.
+                    outputs: Sequence[Sequence[ScanEntry]]):
+    """Merge decoded shard entries into the exact serial ``ScanDataset``.
 
     The serial scanner loop is time-outer, then target, then vantage;
     sorting the union by ``(timestamp, target index, vantage index)``
-    reproduces that order byte-for-byte.
+    reproduces that order byte-for-byte.  Every call builds fresh
+    records, so no two datasets share a mutable ``ProbeRecord``.
     """
     from ..scanner.hourly import ScanDataset
-    rows = [row for shard_rows in outputs for row in shard_rows]
-    rows.sort(key=itemgetter("ts", "ti", "vi"))
+    from ..scanner.results import ProbeRecord
+    entries = [entry for shard_entries in outputs for entry in shard_entries]
+    entries.sort(key=_MERGE_ORDER)
     start, end = campaign_window(config)
     return ScanDataset(
-        records=[record_from_dict(row) for row in rows],
+        records=[ProbeRecord(*fields) for _ts, _ti, _vi, fields in entries],
         vantages=tuple(config.vantages or VANTAGE_POINTS),
         interval=config.interval, start=start, end=end,
     )

@@ -196,8 +196,9 @@ class SupervisedExecutor:
 
     # -- the supervision loop ------------------------------------------
 
-    def run_shards(self, specs: List[ShardSpec]
-                   ) -> List[List[Dict[str, Any]]]:
+    def run_shards(self, specs: List[ShardSpec],
+                   decode: Optional[Callable[[List[Dict[str, Any]]], Any]]
+                   = None) -> List[Any]:
         """Execute *specs* (cache-first); returns rows per spec.
 
         Output order always matches spec order, and every spec appends
@@ -207,15 +208,22 @@ class SupervisedExecutor:
         manifest entry saying why); with ``allow_partial=False`` a
         :class:`ShardQuarantinedError` is raised once everything else
         has completed and persisted.
+
+        With *decode* (a pure function of a row list, returning one
+        item per row) each output is ``decode(rows)`` instead: cached
+        outputs come decoded from :meth:`ArtifactCache.load`, which
+        decodes each verified entry once per process; computed ones
+        are decoded here after they persisted, and a quarantined one
+        is ``decode([])``.
         """
         offset = len(self.manifest.shards)
-        outputs: List[Optional[List[Dict[str, Any]]]] = [None] * len(specs)
+        outputs: List[Any] = [None] * len(specs)
         states: List[Optional[ShardState]] = [None] * len(specs)
 
         pending: List[_Task] = []
         for index, spec in enumerate(specs):
             key = spec.key() if self.cache.enabled else ""
-            cached = self.cache.load(key) if key else None
+            cached = self.cache.load(key, decode) if key else None
             if cached is not None:
                 outputs[index] = cached
                 states[index] = ShardState(
@@ -233,10 +241,13 @@ class SupervisedExecutor:
                        if state is not None and state.outcome == "quarantined"]
         if quarantined and not self.allow_partial:
             raise ShardQuarantinedError(quarantined)
+        if decode is not None:
+            return [output if state is not None and state.cached
+                    else decode(output or [])
+                    for output, state in zip(outputs, states)]
         return [rows if rows is not None else [] for rows in outputs]
 
-    def _supervise(self, pending: List[_Task],
-                   outputs: List[Optional[List[Dict[str, Any]]]],
+    def _supervise(self, pending: List[_Task], outputs: List[Any],
                    states: List[Optional[ShardState]],
                    offset: int) -> None:
         transport = self.transport

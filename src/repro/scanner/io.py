@@ -50,26 +50,43 @@ def record_to_dict(record: ProbeRecord) -> dict:
     return data
 
 
-#: Name -> member table for :func:`record_from_dict` (a warm scan
-#: rerun decodes tens of thousands of rows).
+#: Name -> member and value -> member tables for :func:`record_fields`
+#: (a cold scan decodes every row it computes).
 _OUTCOMES = ProbeOutcome.__members__
+_CERT_STATUSES = {status.value: status for status in CertStatus}
 
 
-def record_from_dict(data: dict) -> ProbeRecord:
-    """The inverse of :func:`record_to_dict`; an unknown outcome name
-    raises ``KeyError`` and an unknown cert status ``ValueError``."""
+def _cert_status(value) -> Optional[CertStatus]:
+    """The member whose value is *value*; None for an absent status."""
+    if not value:
+        return None
+    try:
+        return _CERT_STATUSES[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"{value!r} is not a valid CertStatus") from None
+
+
+def record_fields(data: dict) -> tuple:
+    """The positional :class:`ProbeRecord` arguments of one probe row;
+    an unknown outcome name raises ``KeyError`` and an unknown cert
+    status ``ValueError``."""
     get = data.get
-    cert_status = get("cert_status")
-    return ProbeRecord(
+    return (
         data["vantage"], data["url"], data["family"], data["serial"],
         data["ts"], _OUTCOMES[data["outcome"]],
         get("elapsed_ms", 0.0), get("http_status"),
-        CertStatus(cert_status) if cert_status else None,
+        _cert_status(get("cert_status")),
         get("this_update"), get("next_update"), get("produced_at"),
         get("num_certificates"), get("num_serials"), get("size"),
         get("parse_error_class"), get("parse_error_detail"),
         get("parse_error_offset"),
     )
+
+
+def record_from_dict(data: dict) -> ProbeRecord:
+    """The inverse of :func:`record_to_dict` (see :func:`record_fields`
+    for the errors it raises)."""
+    return ProbeRecord(*record_fields(data))
 
 
 def dump_dataset(dataset: ScanDataset, stream: IO[str]) -> int:

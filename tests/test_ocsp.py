@@ -420,3 +420,14 @@ class TestVerifyMemo:
         # A caller mutating its result does not touch the memo.
         hit.ok, hit.error = (not hit.ok), OCSPError.EXPIRED
         assert verify_response(der, cert_id, ca, NOW) == recomputed
+
+
+def test_result_copy_keeps_every_field():
+    """``verify_response`` copies verdicts positionally; a field added to
+    ``OCSPCheckResult`` without a place in the copy would reset."""
+    names = [field.name for field in dataclasses.fields(OCSPCheckResult)]
+    verdict = OCSPCheckResult(*(object() for _ in names))
+    copy = verify_module._copy(verdict)
+    assert copy is not verdict
+    assert [getattr(copy, name) for name in names] == \
+        [getattr(verdict, name) for name in names]

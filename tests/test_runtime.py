@@ -232,7 +232,7 @@ class _PlanRecorder:
     def __init__(self) -> None:
         self.specs = []
 
-    def run_shards(self, specs):
+    def run_shards(self, specs, decode=None):
         self.specs.extend(specs)
         raise _Planned
 

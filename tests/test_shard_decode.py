@@ -241,6 +241,19 @@ class TestRecordCodec:
         with pytest.raises(TypeError):
             record_from_dict({**data, "outcome": ["OK"]})
 
+    def test_cert_status_table_covers_every_member(self):
+        data = record_to_dict(self.record())
+        for status in CertStatus:
+            back = record_from_dict({**data, "cert_status": status.value})
+            assert back.cert_status is status
+        for empty in (None, ""):
+            assert record_from_dict(
+                {**data, "cert_status": empty}).cert_status is None
+        # The outcome is checked first, as the positional order has it.
+        with pytest.raises(KeyError):
+            record_from_dict({**data, "outcome": "usable response",
+                              "cert_status": "bogus"})
+
     @pytest.mark.parametrize("status", ["bogus", "GOOD", ["good"], 1])
     def test_unknown_cert_status_raises_value_error(self, status):
         data = record_to_dict(self.record())

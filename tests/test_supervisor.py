@@ -485,7 +485,8 @@ class TestRunExperimentSupervised:
         the merged dataset match the undisturbed serial run."""
         from repro.datasets import WorldConfig
         from repro.runtime import ScanCampaignConfig
-        from repro.runtime.sharding import merge_scan_rows, scan_shards
+        from repro.runtime.sharding import (merge_scan_rows, scan_entries,
+                                            scan_shards)
         from repro.scanner.io import dump_dataset
         import io
 
@@ -495,14 +496,16 @@ class TestRunExperimentSupervised:
             interval=12 * 3600, start=1518048000,
             end=1518048000 + 2 * 86400, target_chunks=4)
         specs = scan_shards(campaign)
-        serial = merge_scan_rows(campaign, serial_outputs(specs))
+        serial = merge_scan_rows(
+            campaign, [scan_entries(rows) for rows in serial_outputs(specs)])
 
         chaotic = list(specs)
         chaotic[1] = chaos_wrap(specs[1], "crash", 1,
                                 str(tmp_path / "scratch"))
         executor = SupervisedExecutor(
             workers=4, cache=ArtifactCache(root=str(tmp_path / "cache")))
-        merged = merge_scan_rows(campaign, executor.run_shards(chaotic))
+        merged = merge_scan_rows(
+            campaign, executor.run_shards(chaotic, decode=scan_entries))
 
         def dump(dataset):
             stream = io.StringIO()
